@@ -12,7 +12,8 @@ per policy, and records:
   than greedy.
 
 A second benchmark races the batched serve kernel against the scalar
-per-request path on single-worker trace replay and enforces the >= 5x
+per-request oracle (``tests.oracles.serve.replay_scalar``) on
+single-worker trace replay and enforces the >= 5x
 speedup floor the compiled fast path exists for -- after asserting the
 two reports are bit-identical, so the floor can never be bought with a
 semantics change.
@@ -33,6 +34,7 @@ from repro.core.runtime import WorkloadPhase
 from repro.serve.scheduler import ModeScheduler, replay_trace
 from repro.serve.server import AccuracyServer
 from repro.serve.table import compile_mode_table
+from tests.oracles.serve import replay_scalar
 
 SMALL = bool(int(os.environ.get("REPRO_BENCH_SMALL", "0")))
 
@@ -150,12 +152,12 @@ def _replay_workload(table):
     return phases
 
 
-def _replay_rate(table, workload, policy, engine, repeats=3):
+def _replay_rate(replay, table, workload, policy, repeats=3):
     best = 0.0
     report = None
     for _ in range(repeats):
         start = time.perf_counter()
-        report = replay_trace(table, workload, policy=policy, engine=engine)
+        report = replay(table, workload, policy=policy)
         best = max(best, len(workload) / (time.perf_counter() - start))
     return report, best
 
@@ -168,10 +170,10 @@ def test_batch_kernel_replay_speedup(bundles):
     records = []
     for policy in ("greedy", "hysteresis", "lookahead"):
         scalar_report, scalar_rate = _replay_rate(
-            table, workload, policy, "scalar"
+            replay_scalar, table, workload, policy
         )
         batch_report, batch_rate = _replay_rate(
-            table, workload, policy, "batch"
+            replay_trace, table, workload, policy
         )
         # Bit identity first: a faster kernel that drifts is worthless.
         assert batch_report == scalar_report, policy

@@ -21,6 +21,7 @@ import pytest
 
 from repro.sim.activity import _gated_stimulus
 from repro.sim.simulator import LogicSimulator, SimulationMode
+from tests.oracles.sim import interpreted_simulator
 
 from .conftest import SMALL, WIDTH
 
@@ -61,10 +62,9 @@ def test_packed_activity_speedup(benchmark, bundles, operator):
     netlist = bundles[operator].factory()
     stimulus = _toggle_stimulus(netlist)
 
-    interpreted = LogicSimulator(
-        netlist, SimulationMode.CYCLE, engine="interpreted"
-    )
-    packed = LogicSimulator(netlist, SimulationMode.CYCLE, engine="packed")
+    interpreted = interpreted_simulator(netlist, SimulationMode.CYCLE)
+    packed = LogicSimulator(netlist, SimulationMode.CYCLE)
+    assert packed.engine == "packed"
 
     interpreted_time, reference = _best_of(
         lambda: interpreted.toggle_rates(stimulus, warmup_cycles=WARMUP),

@@ -32,6 +32,7 @@ from repro.operators import booth_multiplier
 from repro.pnr.grid import GridPartition
 from repro.sta.lattice import LatticeStaEngine
 from repro.techlib.library import Library
+from tests.oracles.sta import analyze_pointwise, pointwise_exploration
 
 from .conftest import SMALL
 
@@ -75,7 +76,7 @@ def test_lattice_sta_speedup(benchmark, library, width):
 
     def pointwise():
         return [
-            engine.analyze_pointwise(design.constraint, vdd)
+            analyze_pointwise(engine, design.constraint, vdd)
             for vdd in VDD_LADDER
         ]
 
@@ -103,7 +104,9 @@ def test_lattice_sta_speedup(benchmark, library, width):
 def test_explore_wall_clock_tracked(benchmark, library):
     """End-to-end exploration under the lattice engine, for BENCH JSON.
 
-    Activity simulation is shared between the engines, so the end-to-end
+    The pointwise oracle is swapped into the same explorer's feasibility
+    filter for the comparison run.  Activity simulation is shared
+    between the two, so the end-to-end
     ratio is far below the kernel's; this bench exists to keep the
     explore wall-clock visible over time, with a loose sanity floor that
     the lattice engine never makes exploration *slower*.
@@ -114,21 +117,13 @@ def test_explore_wall_clock_tracked(benchmark, library):
         bitwidths=(width // 2, width),
         activity_cycles=16,
         activity_batch=16,
-        sta_engine="lattice",
     )
-    explorer = ExhaustiveExplorer(design)
 
-    pointwise_time, reference = _best_of(
-        lambda: ExhaustiveExplorer(design).run(
-            ExplorationSettings(
-                bitwidths=settings.bitwidths,
-                activity_cycles=settings.activity_cycles,
-                activity_batch=settings.activity_batch,
-                sta_engine="pointwise",
-            )
-        ),
-        rounds=1 if SMALL else 2,
-    )
+    with pointwise_exploration():
+        pointwise_time, reference = _best_of(
+            lambda: ExhaustiveExplorer(design).run(settings),
+            rounds=1 if SMALL else 2,
+        )
     result = benchmark.pedantic(
         lambda: ExhaustiveExplorer(design).run(settings),
         rounds=3,

@@ -5,7 +5,8 @@ The paper motivates adequate operators with "mobile and IoT applications
 [that] must balance increasing processing demands with limited power
 budgets" and "time-varying tolerance to errors".  This example closes the
 loop: it builds the mode table for a Booth multiplier, then drives it from
-an :class:`AccuracyController` through a bursty sensing workload --
+an :class:`AccuracyController`'s compiled table through the serve
+scheduler's ``replay_trace`` on a bursty sensing workload --
 long low-precision monitoring phases punctuated by short high-precision
 bursts -- accounting the energy of every back-bias mode switch (charge
 pump slewing the domain wells, as sketched in the paper's Section III).
@@ -29,6 +30,7 @@ from repro.core.runtime import (
     WorkloadPhase,
 )
 from repro.operators import booth_multiplier
+from repro.serve.scheduler import replay_trace
 
 WIDTH = 12
 
@@ -74,7 +76,7 @@ def main():
 
     rng = np.random.default_rng(7)
     workload = sensing_workload(rng)
-    report = controller.replay(workload)
+    report = replay_trace(controller.compiled(), workload)
     print("\nbursty sensing workload:")
     print(" ", report.summary())
 
@@ -87,7 +89,7 @@ def main():
             well_cap_ff_per_um2=0.08 * scale,
         )
         sweep_controller = AccuracyController(design, exploration, generator)
-        sweep_report = sweep_controller.replay(workload)
+        sweep_report = replay_trace(sweep_controller.compiled(), workload)
         print(
             f"  pump cost x{scale:<5g}: saving "
             f"{sweep_report.adaptive_saving * 100:5.1f}%, transition "

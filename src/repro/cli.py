@@ -4,7 +4,7 @@ Commands:
 
 * ``explore``      -- implement a design with Vth domains and run the
                       exhaustive optimization; prints the Pareto frontier
-                      and optionally saves the mode table as JSON.
+                      and optionally saves the exploration result as JSON.
 * ``compare``      -- Fig. 5-style comparison of the proposed method
                       against DVAS (NoBB / FBB) on one design.
 * ``report-timing``-- print the worst timing paths of an implemented
@@ -140,8 +140,6 @@ def _settings(args) -> ExplorationSettings:
         workers=getattr(args, "workers", 0),
         cache=getattr(args, "cache", False) or getattr(args, "resume", False),
         cache_dir=getattr(args, "cache_dir", None),
-        sim_engine=getattr(args, "sim_engine", "auto"),
-        sta_engine=getattr(args, "sta_engine", "auto"),
     )
 
 
@@ -167,7 +165,7 @@ def cmd_explore(args) -> int:
 
         with open(args.output, "w") as stream:
             save_exploration(result, stream)
-        print(f"mode table written to {args.output}")
+        print(f"exploration result written to {args.output}")
     return 0
 
 
@@ -324,7 +322,7 @@ def _policy_kwargs(args):
 
 
 def _trace_workload(path):
-    """Load a trace file (gen-traces artifact or legacy list) as phases."""
+    """Load a `repro gen-traces` artifact as phases."""
     from repro.serve.errors import ServeError
     from repro.traces import TraceError, load_trace_file
 
@@ -369,7 +367,6 @@ def cmd_serve(args) -> int:
         policy=args.policy,
         max_queue_depth=args.queue_depth,
         policy_kwargs=_policy_kwargs(args),
-        engine=args.serve_engine,
         guard=guard,
         recal=recal,
     )
@@ -495,7 +492,6 @@ def cmd_fleet_serve(args) -> int:
         max_queue_depth=args.queue_depth,
         guard=args.guard,
         retreat_budget=args.retreat_budget,
-        engine=args.serve_engine,
     )
     if args.trace:
         trace = [
@@ -568,7 +564,6 @@ def cmd_replay(args) -> int:
         workload,
         policy=args.policy,
         lookahead_window=args.window,
-        engine=args.serve_engine,
         **policy_kwargs,
     )
     print(f"policy {args.policy}: {report.summary()}")
@@ -749,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--design", default="booth")
         p.add_argument("--width", type=int, default=16)
 
-    def add_engine_args(p):
+    def add_sweep_args(p):
         from repro.core.config import AUTO_WORKERS
 
         p.add_argument(
@@ -783,40 +778,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="resume an interrupted sweep from its cached shards "
             "(implies --cache)",
         )
-        p.add_argument(
-            "--sim-engine",
-            choices=["auto", "packed", "interpreted"],
-            default="auto",
-            help="switching-activity simulation engine (auto picks the "
-            "compiled bit-packed engine when the netlist supports it; "
-            "results are bit-identical either way)",
-        )
-        p.add_argument(
-            "--sta-engine",
-            choices=["auto", "lattice", "pointwise"],
-            default="auto",
-            help="timing-feasibility engine over the BB lattice (lattice "
-            "sweeps every back-bias combination in one tensor pass, "
-            "pointwise loops the scalar engine per combination; results "
-            "are bit-identical either way)",
-        )
-
-    def add_serve_engine_arg(p):
-        from repro.serve.compiled import SERVE_ENGINES
-
-        p.add_argument(
-            "--serve-engine",
-            choices=list(SERVE_ENGINES),
-            default="auto",
-            help="frame-serving kernel (auto consults $REPRO_SERVE_ENGINE "
-            "and defaults to the batched array kernel; scalar loops the "
-            "per-request path; results are bit-identical either way)",
-        )
 
     # One declaration of the policy surface, shared by every serving
     # command (serve / fleet-serve / replay): the registry drives the
     # --policy choices, --policy-arg carries per-policy typed parameters
-    # and --trace points at a gen-traces artifact (or a legacy list).
+    # and --trace points at a gen-traces artifact.
     from repro.serve.policy import POLICIES
 
     policy_parent = argparse.ArgumentParser(add_help=False)
@@ -839,20 +805,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     policy_parent.add_argument(
         "--trace",
-        help="workload trace file: a `repro gen-traces` artifact or a "
-        'legacy JSON list of {"bits": b, "cycles": c}',
+        help="workload trace file written by `repro gen-traces`",
     )
 
     p = sub.add_parser("explore", help="implement + optimize one design")
     add_design_args(p)
-    add_engine_args(p)
+    add_sweep_args(p)
     p.add_argument("--grid", default="2x2")
-    p.add_argument("--output", help="write the mode table as JSON")
+    p.add_argument(
+        "--output",
+        help="write the exploration result as JSON (`repro compile-table "
+        "--exploration` turns it into a mode table)",
+    )
     p.set_defaults(func=cmd_explore, sweep_command=True)
 
     p = sub.add_parser("compare", help="proposed vs DVAS (Fig. 5)")
     add_design_args(p)
-    add_engine_args(p)
+    add_sweep_args(p)
     p.add_argument("--grid", default="2x2")
     p.set_defaults(func=cmd_compare, sweep_command=True)
 
@@ -868,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="freeze exploration + implementation into a serving ModeTable",
     )
     add_design_args(p)
-    add_engine_args(p)
+    add_sweep_args(p)
     p.add_argument("--grid", default="2x2")
     p.add_argument(
         "--exploration",
@@ -902,7 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generators", type=int, default=2)
     p.add_argument("--queue-depth", type=int, default=8)
     p.add_argument("--max-pending", type=int, default=64)
-    add_serve_engine_arg(p)
     p.add_argument(
         "--soak",
         type=int,
@@ -966,7 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         help="degraded requests a worker serves after a fleet alert",
     )
-    add_serve_engine_arg(p)
     p.add_argument(
         "--soak",
         type=int,
@@ -995,7 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument("--window", type=int, default=4, help="lookahead window")
-    add_serve_engine_arg(p)
     p.set_defaults(func=cmd_replay)
 
     from repro.traces import TRACE_FAMILIES

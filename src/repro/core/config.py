@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 #: ``workers`` value requesting auto-detection (``REPRO_WORKERS`` env var,
 #: falling back to the machine's CPU count).
@@ -42,42 +42,6 @@ def resolve_env_count(
     return max(1, requested)
 
 
-def resolve_env_choice(
-    requested: Optional[str],
-    env_var: str,
-    choices: Sequence[str],
-    *,
-    what: str,
-    auto: str = "auto",
-) -> str:
-    """Resolve an ``auto``-style engine knob against an env override.
-
-    The one choice-knob policy shared by the simulation
-    (``$REPRO_SIM_ENGINE``), STA (``$REPRO_STA_ENGINE``) and serve
-    (``$REPRO_SERVE_ENGINE``) engine selectors: ``None`` means *auto*;
-    *auto* consults ``$env_var`` (unset/empty keeps *auto*); explicit
-    requests win over the environment.  Invalid requests raise a
-    :class:`ValueError` naming the knob (*what*); invalid overrides
-    raise one naming the variable -- so a bad ``export`` is never
-    mistaken for a bad call site.
-    """
-    value = requested if requested is not None else auto
-    if value not in choices:
-        raise ValueError(
-            f"unknown {what} {value!r}; expected one of {tuple(choices)}"
-        )
-    if value == auto:
-        env = os.environ.get(env_var)
-        if env:
-            if env not in choices:
-                raise ValueError(
-                    f"${env_var} must be one of {tuple(choices)}, "
-                    f"got {env!r}"
-                )
-            value = env
-    return value
-
-
 @dataclass(frozen=True)
 class ExplorationSettings:
     """Knob ranges of the optimization phase.
@@ -95,22 +59,6 @@ class ExplorationSettings:
     ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), which also provides
     checkpoint/resume of interrupted sweeps.  Neither knob may change the
     numbers: results are bit-identical to the serial explorer.
-
-    ``sim_engine`` picks the switching-activity simulation engine
-    (``"auto"``, ``"packed"`` or ``"interpreted"``; see
-    :mod:`repro.sim.simulator`).  The engines are differential-tested
-    bit-identical, but the choice is still a semantic field (it is part
-    of shard cache keys) out of caution.
-
-    ``sta_engine`` picks the timing-feasibility engine over the BB
-    lattice (``"auto"``, ``"lattice"`` or ``"pointwise"``; see
-    :mod:`repro.sta.lattice`).  ``lattice`` sweeps every 2^NMAX
-    combination in one tensor pass, ``pointwise`` loops the scalar
-    engine per combination (the differential reference); ``auto``
-    (default, overridable via ``$REPRO_STA_ENGINE``) resolves to
-    ``lattice``.  Shard cache keys embed the *resolved* engine, so
-    lattice and pointwise results coexist in one cache dir without ever
-    being served across engines.
     """
 
     bitwidths: Tuple[int, ...] = tuple(range(1, 17))
@@ -121,8 +69,6 @@ class ExplorationSettings:
     workers: int = 0
     cache: bool = False
     cache_dir: Optional[str] = None
-    sim_engine: str = "auto"
-    sta_engine: str = "auto"
 
     def __post_init__(self):
         if not self.bitwidths:
@@ -136,16 +82,6 @@ class ExplorationSettings:
         if self.workers < AUTO_WORKERS:
             raise ValueError(
                 f"workers must be >= {AUTO_WORKERS} (got {self.workers})"
-            )
-        if self.sim_engine not in ("auto", "packed", "interpreted"):
-            raise ValueError(
-                f"sim_engine must be auto, packed or interpreted "
-                f"(got {self.sim_engine!r})"
-            )
-        if self.sta_engine not in ("auto", "lattice", "pointwise"):
-            raise ValueError(
-                f"sta_engine must be auto, lattice or pointwise "
-                f"(got {self.sta_engine!r})"
             )
 
     @property
@@ -164,27 +100,12 @@ class ExplorationSettings:
         Execution knobs (workers, cache, cache_dir) are excluded: they
         change how results are computed, never what they are, so cached
         shards stay valid across worker counts and cache locations.
-        ``sim_engine`` *is* included: the engines are differential-tested
-        bit-identical, but fingerprinting the choice keeps cached shards
-        attributable to the engine that produced them.  The STA engine is
-        fingerprinted separately by :func:`repro.parallel.fingerprint.shard_key`
-        via :meth:`resolved_sta_engine`, so ``auto`` and an explicit
-        ``lattice`` request share entries (they run the same kernel)
-        while lattice and pointwise runs never do.
         """
         return {
             "activity_cycles": self.activity_cycles,
             "activity_batch": self.activity_batch,
             "seed": self.seed,
-            "sim_engine": self.sim_engine,
         }
-
-    @property
-    def resolved_sta_engine(self) -> str:
-        """The STA engine that will actually run (lattice or pointwise)."""
-        from repro.sta.lattice import resolve_sta_engine
-
-        return resolve_sta_engine(self.sta_engine)
 
 
 @dataclass(frozen=True)

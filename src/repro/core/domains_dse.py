@@ -11,7 +11,6 @@ under an area-overhead budget.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -107,7 +106,6 @@ def explore_domain_configurations(
     bitwidths_of_interest: Optional[Sequence[int]] = None,
     area_budget: Optional[float] = None,
     max_domains: int = 10,
-    sta_engine: Optional[str] = None,
 ) -> DomainDseResult:
     """Implement + explore every candidate grid and rank them.
 
@@ -115,16 +113,10 @@ def explore_domain_configurations(
     score (default: all of ``settings.bitwidths``); *area_budget* is a
     fractional overhead cap (e.g. 0.2 for "at most 20% bigger").
     Candidates with more than *max_domains* domains are skipped, matching
-    the paper's exhaustive-up-to-10-groups remark.  *sta_engine*, when
-    given, overrides ``settings.sta_engine`` for every candidate sweep --
-    the DSE loop is the heaviest lattice consumer (it explores the full
-    2^NMAX axis once per grid), so it is the natural place to force an
-    engine during differential runs.
+    the paper's exhaustive-up-to-10-groups remark.
     """
     if settings is None:
         settings = ExplorationSettings()
-    if sta_engine is not None:
-        settings = dataclasses.replace(settings, sta_engine=sta_engine)
     start = time.perf_counter()
     interest = tuple(bitwidths_of_interest or settings.bitwidths)
     evaluated: List[GridCandidate] = []

@@ -27,7 +27,7 @@ from repro.power.analysis import PowerAnalyzer
 from repro.sim.activity import ActivityReport, measure_activity
 from repro.sta.batch import all_bb_configs
 from repro.sta.caseanalysis import dvas_case
-from repro.sta.lattice import LatticeStaEngine, resolve_sta_engine
+from repro.sta.lattice import LatticeStaEngine
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,6 @@ class ExhaustiveExplorer:
             cycles=settings.activity_cycles,
             batch=settings.activity_batch,
             seed=settings.seed,
-            engine=settings.sim_engine,
         )
 
     def _ladder_slacks(
@@ -153,27 +152,16 @@ class ExhaustiveExplorer:
         vdd_values: Sequence[float],
         configs: np.ndarray,
         case,
-        sta_engine: str,
     ) -> List[np.ndarray]:
-        """Per-combo worst setup slack for every VDD rung, engine-selected.
+        """Per-combo worst setup slack for every VDD rung.
 
-        ``lattice`` sweeps the whole (VDD, combo) ladder in one
-        nets-major tensor pass; ``pointwise`` loops the scalar engine
-        per (VDD, combination).  Both return the same float64 bits --
-        the differential wall holds them to it.
+        One nets-major lattice pass sweeps the whole (VDD, combo)
+        ladder; the differential wall holds it to the per-combination
+        scalar loop bit for bit.
         """
-        design = self.design
-        if sta_engine == "lattice":
-            ladder = self.lattice_engine.analyze_ladder(
-                design.constraint, vdd_values, configs=configs, case=case
-            )
-        else:
-            ladder = [
-                self.lattice_engine.analyze_pointwise(
-                    design.constraint, vdd, configs=configs, case=case
-                )
-                for vdd in vdd_values
-            ]
+        ladder = self.lattice_engine.analyze_ladder(
+            self.design.constraint, vdd_values, configs=configs, case=case
+        )
         return [result.worst_slack_ps for result in ladder]
 
     def evaluate_cells(
@@ -195,13 +183,12 @@ class ExhaustiveExplorer:
         their merged results bit-identical.
         """
         design = self.design
-        sta_engine = resolve_sta_engine(settings.sta_engine)
         config_tuples = [tuple(bool(x) for x in row) for row in configs]
         cells: List[KnobCellResult] = []
         for bits in bitwidths:
             case = dvas_case(design.netlist, bits)
             activity = self._activity(bits, settings)
-            slacks = self._ladder_slacks(vdd_values, configs, case, sta_engine)
+            slacks = self._ladder_slacks(vdd_values, configs, case)
             for vdd, worst_slack in zip(vdd_values, slacks):
                 feasible = worst_slack >= 0.0
                 count = int(np.count_nonzero(feasible))

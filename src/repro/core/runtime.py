@@ -11,16 +11,12 @@ the runtime selection to the application.  This module models that runtime:
   well capacitance and takes a settling time, and re-targeting the supply
   rail costs the energy to slew the rail/decap capacitance of the whole
   operator through the regulator.
-* :class:`AccuracyController` -- replays a workload trace (phases of
-  required accuracy) against an exploration result, accounting mode-switch
-  energy/time, and reports the adaptive-vs-static energy picture.
-
-The controller's :meth:`AccuracyController.replay` is a thin client of the
-online serving subsystem (:mod:`repro.serve`): it compiles the exploration
-into a :class:`repro.serve.table.ModeTable` and runs the trace through the
-shared-bias scheduler with the paper-greedy policy.
-:meth:`AccuracyController.replay_reference` keeps the original closed-form
-accounting loop as the differential oracle the serve tests compare against.
+* :class:`AccuracyController` -- the exploration's mode table with its
+  per-mode selection and transition costing, compiled on demand into a
+  :class:`repro.serve.table.ModeTable` that
+  :func:`repro.serve.scheduler.replay_trace` replays a workload trace
+  (phases of required accuracy) against, reporting the
+  adaptive-vs-static energy picture.
 """
 
 from __future__ import annotations
@@ -100,7 +96,7 @@ def pairwise_transition_cost(
     The single costing routine shared by the offline controller and the
     compiled :class:`repro.serve.table.ModeTable` transition matrix --
     keeping both bit-identical is what makes the serve scheduler's greedy
-    replay reproduce the legacy accounting exactly.
+    replay reproduce the closed-form accounting exactly.
     """
     state_vbb = {False: 0.0, True: fbb_voltage}
     energy = 0.0
@@ -134,7 +130,7 @@ class WorkloadPhase:
 
 @dataclass
 class RuntimeReport:
-    """Outcome of replaying a workload through the controller."""
+    """Outcome of replaying a workload through the serve scheduler."""
 
     phases: int
     total_cycles: int
@@ -189,9 +185,7 @@ class AccuracyController:
             exploration.best_per_bitwidth
         )
         self._domain_areas = measure_domain_areas(design)
-        fbb = design.netlist.library.process.fbb_voltage
-        self._fbb_voltage = fbb
-        self._state_vbb = {False: 0.0, True: fbb}
+        self._fbb_voltage = design.netlist.library.process.fbb_voltage
         self._compiled_table = None
 
     # -- mode selection ------------------------------------------------------
@@ -235,68 +229,3 @@ class AccuracyController:
                 self.design, self.exploration, self.generator
             )
         return self._compiled_table
-
-    # -- workload replay -------------------------------------------------------
-
-    def replay(
-        self, workload: Sequence[WorkloadPhase], policy: str = "greedy"
-    ) -> RuntimeReport:
-        """Replay a trace of accuracy phases through the serve scheduler.
-
-        Thin client of :mod:`repro.serve`: with the default greedy policy
-        the numbers reproduce :meth:`replay_reference` exactly (the serve
-        differential suite locks that in); other policies trade accuracy
-        headroom for fewer transitions.
-        """
-        if not workload:
-            raise ValueError("empty workload")
-        from repro.serve.scheduler import replay_trace
-
-        return replay_trace(self.compiled(), workload, policy=policy)
-
-    def replay_reference(
-        self, workload: Sequence[WorkloadPhase]
-    ) -> RuntimeReport:
-        """The closed-form accounting loop (differential oracle for serve).
-
-        Greedy per-phase mode selection; a mode *switch* is counted
-        whenever the operating point changes (including free first-phase
-        power-on), not only when the transition costs energy.
-        """
-        if not workload:
-            raise ValueError("empty workload")
-        fclk_hz = self.design.fclk_ghz * 1e9
-        max_bits = max(self.mode_table)
-        static_point = self.mode_table[max_bits]
-
-        compute_energy = 0.0
-        transition_energy = 0.0
-        transition_time = 0.0
-        switches = 0
-        static_energy = 0.0
-        total_cycles = 0
-        current: Optional[OperatingPoint] = None
-
-        for phase in workload:
-            point = self.mode_for(phase.required_bits)
-            energy, settle_ns = self.transition_cost(current, point)
-            if point != current:
-                switches += 1
-            transition_energy += energy
-            transition_time += settle_ns
-            current = point
-
-            duration_s = phase.cycles / fclk_hz
-            compute_energy += point.total_power_w * duration_s
-            static_energy += static_point.total_power_w * duration_s
-            total_cycles += phase.cycles
-
-        return RuntimeReport(
-            phases=len(workload),
-            total_cycles=total_cycles,
-            compute_energy_j=compute_energy,
-            transition_energy_j=transition_energy,
-            transition_time_ns=transition_time,
-            mode_switches=switches,
-            static_energy_j=static_energy,
-        )

@@ -52,7 +52,6 @@ from repro.fleet.worker import (
     parse_control,
     worker_main,
 )
-from repro.serve.compiled import resolve_serve_engine
 from repro.serve.table import ModeTable, SharedModeTable
 
 #: Environment override consulted when ``workers`` is AUTO_WORKERS.
@@ -132,7 +131,6 @@ class FleetRouter:
         schedules: Optional[Dict[int, Dict]] = None,
         vnodes: int = DEFAULT_VNODES,
         segment_name: Optional[str] = None,
-        engine: Optional[str] = None,
         recal_interval_ns: float = 0.0,
         recal_bias_ps: float = 2.0,
         recal_readvance: int = 3,
@@ -158,10 +156,6 @@ class FleetRouter:
             "guard": guard,
             "headroom_ps": headroom_ps,
             "retreat_budget": retreat_budget,
-            # Resolved here (not in the workers) so a bad request or env
-            # override fails in the router process, eagerly, and every
-            # worker is guaranteed to run the same kernel.
-            "engine": resolve_serve_engine(engine),
             # Canary recalibration: workers that own an injected fault
             # schedule run the probe loop; guarded peers adopt committed
             # margin states over the bus (see repro.fleet.worker).

@@ -26,7 +26,7 @@ batches without per-request sequence numbers.
 from __future__ import annotations
 
 import pickle
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -172,7 +172,6 @@ class _WorkerRuntime:
             policy_kwargs=dict(config.get("policy_params") or {}),
             max_queue_depth=int(config.get("max_queue_depth", 8)),
             guard=guard,
-            engine=config.get("engine"),
             recal=self.recal,
         )
         self.bus = bus
@@ -254,12 +253,16 @@ class _WorkerRuntime:
         self.last_epoch = self.bus.post(kind, self.worker_id)
 
     def serve_batch(self, triples: np.ndarray) -> bytes:
-        if self.guard is None and self.scheduler.serve_engine == "batch":
+        if self.guard is None:
             # No guard means no per-request alert posting, so the only
             # per-request side effect left is the bus poll -- which the
             # fast path coarsens to frame granularity (an alert landing
             # mid-frame is a real-time race either way).
             return self._serve_batch_fast(triples)
+        return self._serve_batch_loop(triples)
+
+    def _serve_batch_loop(self, triples: np.ndarray) -> bytes:
+        """Per-request frame serving: poll, serve, alert, post margins."""
         # Accumulate plain-python rows and convert once at the end:
         # per-row ``ndarray[row] = [...]`` assignments here were the
         # worker's second-largest per-request cost after the scheduler.

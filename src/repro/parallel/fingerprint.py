@@ -35,11 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel.shards import Shard
 
 #: Bump when the fingerprint recipe or shard payload schema changes;
-#: old entries then miss instead of being misinterpreted.  Schema 2 added
-#: the simulation-engine choice to the settings' semantic fields; schema
-#: 3 added the resolved STA engine + lattice kernel schema and the
-#: shard's BB-combination span (combo-tensor shards).
-FINGERPRINT_SCHEMA = 3
+#: old entries then miss instead of being misinterpreted.  Schema 3
+#: added the lattice kernel schema and the shard's BB-combination span
+#: (combo-tensor shards); schema 4 dropped the engine choices, since
+#: each layer now runs one engine.
+FINGERPRINT_SCHEMA = 4
 
 
 def canonical_json(obj) -> str:
@@ -154,11 +154,8 @@ def shard_key(
     same knob grid (e.g. a resume with a different shard size that happens
     to produce an identical slice) still hits.
 
-    The key embeds the *resolved* STA engine plus the lattice kernel's
-    schema version: a pointwise shard is never served to a lattice run
-    (the same bug class schema 2 fixed for ``sim_engine``), while an
-    explicit ``--sta-engine lattice`` and a defaulted ``auto`` -- which
-    run the same kernel -- interoperate on one cache.  The shard's
+    The key embeds the lattice kernel's schema version, so entries
+    written by a kernel with different numerics miss.  The shard's
     BB-combination span keys the combo-tensor slice it covers.
     """
     from repro.sta.lattice import LATTICE_SCHEMA
@@ -167,10 +164,7 @@ def shard_key(
         "schema": FINGERPRINT_SCHEMA,
         "design": design_digest,
         "settings": settings.semantic_fields(),
-        "sta": {
-            "engine": settings.resolved_sta_engine,
-            "lattice_schema": LATTICE_SCHEMA,
-        },
+        "sta": {"lattice_schema": LATTICE_SCHEMA},
         "configs": configs_digest,
         "shard": {
             "bitwidths": list(shard.bitwidths),

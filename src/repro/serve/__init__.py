@@ -22,12 +22,7 @@ See ``docs/serve.md`` for the subsystem overview and invariants, and
 ``docs/robustness.md`` for the fault model and margin-guard semantics.
 """
 
-from repro.serve.compiled import (
-    BatchResult,
-    CompiledTable,
-    SERVE_ENGINES,
-    resolve_serve_engine,
-)
+from repro.serve.compiled import BatchResult, CompiledTable
 from repro.serve.errors import (
     RecalibrationError,
     ServeError,
@@ -108,7 +103,6 @@ __all__ = [
     "ProbeResult",
     "RecalibrationError",
     "RecalibrationLoop",
-    "SERVE_ENGINES",
     "SelectionPolicy",
     "ServeError",
     "ServeRequest",
@@ -126,7 +120,6 @@ __all__ = [
     "policy_params",
     "register_policy",
     "replay_trace",
-    "resolve_serve_engine",
     "run_canary_probe",
     "train_on_suite",
     "train_policy",

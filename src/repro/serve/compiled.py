@@ -14,7 +14,7 @@ ModeTable` into a :class:`CompiledTable` of flat numpy arrays instead:
   index :meth:`ModeTable.mode_key_for` would return;
 * precomputed **policy decision tables**: greedy and hysteresis are
   memoryless, so probing the real policy object once per
-  ``(current mode, requested bits)`` pair turns ``select()`` into a pure
+  ``(current mode, requested bits)`` pair turns ``decide()`` into a pure
   ``next_index[state, requested]`` lookup that is bit-identical by
   construction (lookahead stays a small horizon scan -- see the
   scheduler kernel);
@@ -22,11 +22,6 @@ ModeTable` into a :class:`CompiledTable` of flat numpy arrays instead:
   cover table) that :meth:`~repro.serve.guard.MarginGuard.
   refresh_availability` updates in place whenever the environment is
   time-invariant.
-
-Engine selection mirrors the simulation/STA conventions:
-``resolve_serve_engine`` maps ``None``/``"auto"`` through
-``$REPRO_SERVE_ENGINE`` and defaults to the batch kernel, which is
-differential-tested bit-identical to the scalar path.
 """
 
 from __future__ import annotations
@@ -36,37 +31,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import resolve_env_choice
 from repro.serve.learned import LearnedPolicy
 from repro.serve.policy import (
     GreedyPolicy,
     HysteresisPolicy,
     LookaheadPolicy,
+    PolicyContext,
     SelectionPolicy,
 )
 from repro.serve.table import ModeTable
-
-#: Environment override for ``auto`` serve-engine requests.
-SERVE_ENGINE_ENV = "REPRO_SERVE_ENGINE"
-
-#: Valid engine requests.
-SERVE_ENGINES = ("auto", "batch", "scalar")
-
-
-def resolve_serve_engine(engine: Optional[str]) -> str:
-    """Normalize a serve-engine request (None -> env -> auto -> batch).
-
-    Returns the engine that will actually run (``"batch"`` or
-    ``"scalar"``).  ``auto`` (and ``None``) consult
-    ``$REPRO_SERVE_ENGINE`` first and default to the batch kernel; the
-    parsing lives in :func:`repro.core.config.resolve_env_choice`,
-    shared with the simulation and STA engine selectors.
-    """
-    requested = resolve_env_choice(
-        engine, SERVE_ENGINE_ENV, SERVE_ENGINES, what="serve engine"
-    )
-    return "scalar" if requested == "scalar" else "batch"
-
 
 class CompiledTable:
     """Flat-array view of one ModeTable plus its compiled policy tables.
@@ -164,7 +137,7 @@ class CompiledTable:
         """``next_index[state_row, required_bits]`` for a memoryless policy.
 
         Built by probing the *actual* policy object once per pair, so the
-        lookup is bit-identical to ``policy.select`` by construction.
+        lookup is bit-identical to ``policy.decide`` by construction.
         """
         key = self.policy_cache_key(policy)
         if key is None:
@@ -180,7 +153,7 @@ class CompiledTable:
             current = self.keys[row] if row < n else None
             for bits in range(1, self.max_bits + 1):
                 table[row, bits] = self.index_of[
-                    policy.select(bits, current, ())
+                    policy.decide(PolicyContext(bits, current))
                 ]
             table[row, 0] = table[row, 1]
         self._decision_tables[key] = table

@@ -31,18 +31,12 @@ Policies register through the :func:`register_policy` decorator, which
 also carries each policy's typed constructor parameters
 (:class:`PolicyParam`) so the CLI's ``--policy-arg key=value`` pairs are
 validated and coerced with a clear error instead of a raw ``TypeError``.
-
-Legacy policies that predate the redesign -- subclasses overriding the
-old positional ``select(required_bits, current_bits, upcoming)`` -- keep
-working: the base class adapts ``decide`` onto ``select`` and emits a
-:class:`DeprecationWarning` once per class.
 """
 
 from __future__ import annotations
 
-import warnings
-from abc import ABC
-from dataclasses import dataclass, field
+from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -138,68 +132,18 @@ class DemandTracker:
         return DemandTracker(self.level, self.volatility, self.last_bits)
 
 
-#: Classes we already warned about using the legacy ``select`` contract.
-_LEGACY_WARNED: set = set()
-
-
-def _warn_legacy(cls: type) -> None:
-    if cls in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(cls)
-    warnings.warn(
-        f"{cls.__name__} implements the legacy positional "
-        "select(required_bits, current_bits, upcoming) contract; "
-        "override decide(ctx: PolicyContext) instead -- the adapter "
-        "will be removed in a future release",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class SelectionPolicy(ABC):
-    """Chooses the mode key serving a request.
-
-    Subclasses override :meth:`decide`.  Legacy subclasses that only
-    override the old positional :meth:`select` keep working through the
-    built-in adapter (with a :class:`DeprecationWarning` the first time
-    each class decides).
-    """
+    """Chooses the mode key serving a request; subclasses override
+    :meth:`decide`."""
 
     name = "base"
 
     def __init__(self, table: ModeTable):
         self.table = table
 
+    @abstractmethod
     def decide(self, ctx: PolicyContext) -> int:
         """Return the mode key serving ``ctx.required_bits``."""
-        cls = type(self)
-        if cls.select is SelectionPolicy.select:
-            raise TypeError(
-                f"{cls.__name__} must override decide(ctx) (or the "
-                "legacy select(required_bits, current_bits, upcoming))"
-            )
-        _warn_legacy(cls)
-        return self.select(ctx.required_bits, ctx.current_bits, ctx.upcoming)
-
-    def select(
-        self,
-        required_bits: int,
-        current_bits: Optional[int] = None,
-        upcoming: Sequence[Upcoming] = (),
-    ) -> int:
-        """Legacy entry point: builds a minimal context and decides.
-
-        Kept so existing callers (and the compiled decision-table
-        prober) stay source-compatible; new code should build a
-        :class:`PolicyContext` and call :meth:`decide`.
-        """
-        return self.decide(
-            PolicyContext(
-                required_bits=required_bits,
-                current_bits=current_bits,
-                upcoming=tuple(upcoming),
-            )
-        )
 
     def _phase_energy_j(self, bits_key: int, cycles: int) -> float:
         power = self.table.modes[bits_key].total_power_w

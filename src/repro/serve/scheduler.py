@@ -26,8 +26,8 @@ concurrent operators contend for the finite pool.
 
 :func:`replay_trace` runs an offline workload through the same machinery
 (one operator, unconstrained pool); with the greedy policy it reproduces
-``AccuracyController.replay_reference`` bit-for-bit, which
-``tests/test_serve_scheduler.py`` locks in differentially.
+the closed-form greedy accounting of ``tests/oracles/serve.py``
+bit-for-bit, which ``tests/test_serve_scheduler.py`` locks in.
 
 Resilience (all opt-in, the default path is bit-identical to before):
 
@@ -66,11 +66,7 @@ import numpy as np
 
 from repro.core.config import OperatingPoint
 from repro.core.runtime import RuntimeReport, WorkloadPhase
-from repro.serve.compiled import (
-    BatchResult,
-    CompiledTable,
-    resolve_serve_engine,
-)
+from repro.serve.compiled import BatchResult, CompiledTable
 from repro.serve.learned import LearnedPolicy, bucketize
 from repro.serve.policy import (
     DemandTracker,
@@ -79,7 +75,7 @@ from repro.serve.policy import (
     Upcoming,
     make_policy,
 )
-from repro.serve.table import ModeTable, TransitionCost
+from repro.serve.table import ModeTable
 from repro.serve.telemetry import Telemetry
 
 
@@ -335,7 +331,6 @@ class ModeScheduler:
         guard: Optional["MarginGuard"] = None,
         max_transition_retries: int = 3,
         retry_backoff_ns: float = 50.0,
-        engine: Optional[str] = None,
         recal: Optional["RecalibrationLoop"] = None,
     ):
         if max_queue_depth < 1:
@@ -363,10 +358,6 @@ class ModeScheduler:
         self.recal = recal
         self.max_transition_retries = max_transition_retries
         self.retry_backoff_ns = retry_backoff_ns
-        #: Which engine serves *frames* (submit_batch / submit_batch_arrays):
-        #: ``batch`` (default; falls back per frame when it cannot prove
-        #: equivalence) or ``scalar``.  ``submit`` is always scalar.
-        self.serve_engine = resolve_serve_engine(engine)
         self._operators: Dict[str, _OperatorState] = {}
         # Per-scheduler array lowerings, keyed by table identity.  The
         # CompiledTable holds a reference to its ModeTable, so the id is
@@ -850,8 +841,6 @@ class ModeScheduler:
         Raises :class:`_ScalarFrameFallback` the moment the frame stops
         being provably equivalent to the scalar loop.
         """
-        if self.serve_engine != "batch":
-            raise _ScalarFrameFallback
         if self.recal is not None:
             # A local probe loop fires mid-frame on operator clocks; the
             # batch kernel cannot interleave probes, so frames fall back
@@ -1481,7 +1470,6 @@ def replay_trace(
     policy: str = "greedy",
     num_generators: int = 1,
     lookahead_window: int = 4,
-    engine: Optional[str] = None,
     **policy_kwargs,
 ) -> RuntimeReport:
     """Replay an offline trace through the scheduler; return the report.
@@ -1489,12 +1477,9 @@ def replay_trace(
     Single operator, pool never saturated (depth bound is the trace
     length), so the only differences between policies are the selection
     decisions themselves.  The lookahead policy sees the next
-    ``lookahead_window`` phases of the trace.
-
-    *engine* picks the serving kernel (``auto``/``batch``/``scalar``,
-    default ``auto`` -> ``$REPRO_SERVE_ENGINE`` -> ``batch``).  The
-    engines are differential-tested bit-identical; batch replays the
-    whole trace as one frame of array passes.
+    ``lookahead_window`` phases of the trace.  The whole trace is served
+    as one frame of the batched kernel, which is bit-identical to
+    submitting the phases one by one.
     """
     if not workload:
         raise ValueError("empty workload")
@@ -1506,32 +1491,17 @@ def replay_trace(
         policy=policy,
         max_queue_depth=len(workload) + 1,
         policy_kwargs=policy_kwargs,
-        engine=engine,
     )
-    if scheduler.serve_engine == "batch":
-        count = len(workload)
-        bits = np.fromiter(
-            (p.required_bits for p in workload), np.int64, count
-        )
-        cycles = np.fromiter((p.cycles for p in workload), np.int64, count)
-        # Report-only: no phases, no result arrays -- just accounting.
-        scheduler._serve_frame(
-            "replay",
-            bits,
-            cycles,
-            want_phases=False,
-            want_arrays=False,
-            upcoming_cap=lookahead_window if policy == "lookahead" else 0,
-        )
-        return scheduler.report("replay")
-    window = lookahead_window if policy == "lookahead" else 0
-    for index, phase in enumerate(workload):
-        upcoming = tuple(
-            (p.required_bits, p.cycles)
-            for p in workload[index + 1 : index + 1 + window]
-        )
-        scheduler.submit(
-            ServeRequest("replay", phase.required_bits, phase.cycles),
-            upcoming=upcoming,
-        )
+    count = len(workload)
+    bits = np.fromiter((p.required_bits for p in workload), np.int64, count)
+    cycles = np.fromiter((p.cycles for p in workload), np.int64, count)
+    # Report-only: no phases, no result arrays -- just accounting.
+    scheduler._serve_frame(
+        "replay",
+        bits,
+        cycles,
+        want_phases=False,
+        want_arrays=False,
+        upcoming_cap=lookahead_window if policy == "lookahead" else 0,
+    )
     return scheduler.report("replay")

@@ -17,14 +17,10 @@ request is *still answered* -- served immediately on the scheduler's
 degraded path (static maximum-accuracy mode) instead of queueing, so an
 overloaded server sheds precision headroom, never correctness.
 
-When the scheduler runs the batch serve engine, the worker drains a
-**batch window**: after the blocking get it opportunistically pulls up
-to ``drain_window - 1`` more queued requests and serves the chunk
-through :meth:`~repro.serve.scheduler.ModeScheduler.submit_batch` (with
-the lookahead window clipped to zero, so decisions match the scalar
-per-request drain bit for bit).  Requests no mode table can cover are
-peeled out of the chunk and answered individually, exactly like the
-scalar path.
+The worker serves every drained request through
+:meth:`~repro.serve.scheduler.ModeScheduler.submit`, one at a time:
+socket requests arrive a few at a time, and on frames that small the
+batched kernel's planning costs more than it saves.
 
 Shutdown is graceful: in-flight requests finish, the socket closes, the
 worker drains and exits.
@@ -88,14 +84,11 @@ class AccuracyServer:
         max_pending: int = 64,
         drain_delay_s: float = 0.0,
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-        drain_window: int = 32,
     ):
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if max_line_bytes < 2:
             raise ValueError("max_line_bytes must be >= 2")
-        if drain_window < 1:
-            raise ValueError("drain_window must be >= 1")
         self.scheduler = scheduler
         self.host = host
         self._requested_port = port
@@ -103,9 +96,6 @@ class AccuracyServer:
         #: force queue saturation deterministically).
         self.drain_delay_s = drain_delay_s
         self.max_line_bytes = max_line_bytes
-        #: Max requests served as one batched frame per drain iteration
-        #: (only reached when the scheduler runs the batch engine).
-        self.drain_window = drain_window
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=max_pending)
         self._server: Optional[asyncio.AbstractServer] = None
         self._worker: Optional[asyncio.Task] = None
@@ -202,86 +192,19 @@ class AccuracyServer:
     # -- internals -----------------------------------------------------------
 
     async def _drain(self) -> None:
-        batchable = (
-            self.scheduler.serve_engine == "batch"
-            and self.drain_window > 1
-            and self.drain_delay_s == 0.0
-        )
         while True:
-            chunk = [await self._queue.get()]
-            if batchable:
-                while len(chunk) < self.drain_window:
-                    try:
-                        chunk.append(self._queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-            if len(chunk) == 1:
-                req, future = chunk[0]
-                try:
-                    served = self.scheduler.submit(req)
-                    if not future.done():
-                        future.set_result(served)
-                except Exception as error:  # surfaced to caller, not lost
-                    if not future.done():
-                        future.set_exception(error)
-                finally:
-                    self._queue.task_done()
-            else:
-                try:
-                    self._serve_chunk(chunk)
-                finally:
-                    for _ in chunk:
-                        self._queue.task_done()
-            if self.drain_delay_s > 0.0:
-                await asyncio.sleep(self.drain_delay_s)
-
-    def _serve_chunk(self, chunk) -> None:
-        """Serve one drained batch window through the batched kernel.
-
-        ``upcoming_cap=0`` clips lookahead windows to empty, so every
-        decision matches the per-request scalar drain (which submits
-        with no upcoming context) bit for bit.  Requests whose bitwidth
-        exceeds their operator's table split the chunk: the runs around
-        them batch, they themselves go through ``submit`` so the
-        resulting ``ValueError`` reaches only their own future.
-        """
-        scheduler = self.scheduler
-        run: list = []
-
-        def flush() -> None:
-            if not run:
-                return
+            req, future = await self._queue.get()
             try:
-                served = scheduler.submit_batch(
-                    [r for r, _ in run], upcoming_cap=0
-                )
-            except Exception as error:
-                # Only reachable with a custom policy whose pick violates
-                # accuracy; the scalar loop inside submit_batch raised at
-                # the offending request, so answer the whole run with it.
-                for _, fut in run:
-                    if not fut.done():
-                        fut.set_exception(error)
-            else:
-                for (_, fut), phase in zip(run, served):
-                    if not fut.done():
-                        fut.set_result(phase)
-            run.clear()
-
-        for req, future in chunk:
-            table = scheduler._state(req.operator).table
-            if req.required_bits <= table.max_bits:
-                run.append((req, future))
-                continue
-            flush()
-            try:
-                served = scheduler.submit(req)
+                served = self.scheduler.submit(req)
                 if not future.done():
                     future.set_result(served)
-            except Exception as error:
+            except Exception as error:  # surfaced to caller, not lost
                 if not future.done():
                     future.set_exception(error)
-        flush()
+            finally:
+                self._queue.task_done()
+            if self.drain_delay_s > 0.0:
+                await asyncio.sleep(self.drain_delay_s)
 
     async def _handle_connection(self, reader, writer) -> None:
         try:

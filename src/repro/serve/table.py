@@ -12,19 +12,20 @@ server process never imports the implementation stack.
 The transition matrix is computed with the *same* routine the offline
 :class:`~repro.core.runtime.AccuracyController` costs transitions with
 (:func:`repro.core.runtime.pairwise_transition_cost`), which is what makes
-the serve scheduler's greedy replay bit-identical to the legacy accounting.
+the serve scheduler's greedy replay bit-identical to the closed-form
+accounting.
 
-Since schema 2 a table may also carry per-mode **slack margins**
+A table may also carry per-mode **slack margins**
 (:class:`ModeMargin`) computed offline by Monte-Carlo timing
 (:func:`compile_margins` over
 :class:`repro.sta.variation.MonteCarloTiming`): the n-sigma worst-case
 slack of each mode at its exploration corner.  The serve-side margin
 guard (:mod:`repro.serve.guard`) compares them against runtime margin
 erosion and falls back to a safer mode before timing is violated.
-Schema-1 tables (no margins) still load and serve; the guard simply has
-nothing to check and disables itself with a warning.
+Tables without margins serve too; the guard simply has nothing to check
+and disables itself with a warning.
 
-Since schema 3 a table may additionally embed a **frozen learned
+A table may additionally embed a **frozen learned
 mode-selection policy** (:class:`LearnedPolicySpec`): the bucketized
 decision tensor a fitted-Q trainer (:mod:`repro.serve.learned`) produced
 offline from a workload-trace suite.  The spec is pure data -- bucket
@@ -55,12 +56,11 @@ from repro.serve.errors import ServeError
 #: Schema of the serialized artifact.  Bump on any layout change; loaders
 #: reject a mismatch rather than guess.  Schema 2 added the optional
 #: per-mode margin block; schema 3 the optional frozen learned-policy
-#: block.  Older artifacts are still readable (they simply carry
-#: neither).
+#: block.
 MODE_TABLE_SCHEMA = 3
 
-#: Schemas :meth:`ModeTable.from_dict` accepts.
-COMPATIBLE_SCHEMAS = (1, 2, MODE_TABLE_SCHEMA)
+#: The ``kind`` every serialized mode table carries.
+MODE_TABLE_KIND = "repro-mode-table"
 
 #: Artifact-parse instrumentation.  ``json`` counts full-table dict
 #: parses (:meth:`ModeTable.from_dict`), ``shared`` counts zero-copy
@@ -309,10 +309,10 @@ class ModeTable:
     generator: BiasGeneratorModel
     modes: Mapping[int, OperatingPoint]
     transitions: Mapping[Tuple[int, int], TransitionCost] = field(repr=False)
-    #: Optional per-mode n-sigma slack margins (schema 2).  ``None`` means
+    #: Optional per-mode n-sigma slack margins.  ``None`` means
     #: "compiled without margins": the table serves, the guard disables.
     margins: Optional[Mapping[int, ModeMargin]] = None
-    #: Optional frozen learned mode-selection policy (schema 3).
+    #: Optional frozen learned mode-selection policy.
     #: ``None`` means "no policy trained": ``--policy learned`` refuses.
     learned: Optional[LearnedPolicySpec] = None
 
@@ -440,7 +440,7 @@ class ModeTable:
     def to_dict(self) -> Dict:
         return {
             "schema": MODE_TABLE_SCHEMA,
-            "kind": "repro-mode-table",
+            "kind": MODE_TABLE_KIND,
             "design_name": self.design_name,
             "fclk_ghz": self.fclk_ghz,
             "num_domains": self.num_domains,
@@ -484,11 +484,12 @@ class ModeTable:
     def from_dict(payload: Dict) -> "ModeTable":
         """Parse a serialized table; every defect raises :class:`ServeError`.
 
-        Accepts the current schema and schema 1 (compiled before margins
-        existed; loads with ``margins=None``).  A truncated or corrupt
-        payload -- missing keys, wrong types, inconsistent matrix --
-        surfaces as one clear :class:`ServeError`, never a raw
-        ``KeyError``/``TypeError`` from the middle of the parse.
+        Accepts only a ``repro-mode-table`` document of the current
+        schema.  Another artifact (an exploration result, say) is named
+        as such; a truncated or corrupt payload -- missing keys, wrong
+        types, inconsistent matrix -- surfaces as one clear
+        :class:`ServeError`, never a raw ``KeyError``/``TypeError`` from
+        the middle of the parse.
         """
         PARSE_COUNTERS["json"] += 1
         if not isinstance(payload, dict):
@@ -496,11 +497,18 @@ class ModeTable:
                 f"mode-table payload must be a JSON object, "
                 f"got {type(payload).__name__}"
             )
+        kind = payload.get("kind")
+        if kind != MODE_TABLE_KIND:
+            raise ServeError(
+                f"not a mode table (kind={kind!r}, expected "
+                f"{MODE_TABLE_KIND!r}); build one with `repro compile-table`, "
+                "adding --exploration FILE to reuse a saved exploration"
+            )
         schema = payload.get("schema")
-        if schema not in COMPATIBLE_SCHEMAS:
+        if schema != MODE_TABLE_SCHEMA:
             raise ServeError(
                 f"unsupported mode-table schema {schema!r} (this build reads "
-                f"schemas {COMPATIBLE_SCHEMAS}); re-run `repro compile-table`"
+                f"schema {MODE_TABLE_SCHEMA}); re-run `repro compile-table`"
             )
         try:
             generator = BiasGeneratorModel(**payload["generator"])
@@ -1099,7 +1107,7 @@ class SharedModeTable:
 
     @property
     def margin_matrix(self) -> Optional[np.ndarray]:
-        """Dense (n_modes, 6) margin matrix, or ``None`` (schema 1)."""
+        """Dense (n_modes, 6) margin matrix, or ``None`` (no margins)."""
         layout = self._layout
         if not layout.has_margins:
             return None

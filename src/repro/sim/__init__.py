@@ -9,12 +9,7 @@ batch of stimuli.  It serves three purposes in the flow:
 3. application-level accuracy measurement under LSB gating.
 """
 
-from repro.sim.simulator import (
-    ENGINES,
-    LogicSimulator,
-    SimulationMode,
-    resolve_engine_request,
-)
+from repro.sim.simulator import LogicSimulator, SimulationMode
 from repro.sim.packed import PackedCompileError, PackedEngine
 from repro.sim.vectors import (
     int_to_bits,
@@ -31,10 +26,8 @@ from repro.sim.errors import error_metrics, ErrorReport
 from repro.sim import golden
 
 __all__ = [
-    "ENGINES",
     "LogicSimulator",
     "SimulationMode",
-    "resolve_engine_request",
     "PackedCompileError",
     "PackedEngine",
     "int_to_bits",

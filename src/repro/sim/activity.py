@@ -6,27 +6,23 @@ rates.  Dynamic power analysis multiplies these rates by net capacitance,
 VDD squared and clock frequency.
 
 Simulation runs on :meth:`LogicSimulator.toggle_rates`: with the packed
-engine (the default) consecutive-cycle bitplanes are XOR-popcounted into
-per-net counters and no per-cycle net-value matrix is ever materialized;
-the interpreted engine falls back to the legacy ``collect_net_values``
-path.  Both are bit-identical, so memoized reports are valid whichever
-engine produced them.
+engine consecutive-cycle bitplanes are XOR-popcounted into per-net
+counters and no per-cycle net-value matrix is ever materialized; the
+interpreted fallback uses the ``collect_net_values`` path.  Both are
+bit-identical, so memoized reports are valid whichever engine produced
+them.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.netlist.netlist import Netlist
-from repro.sim.simulator import (
-    LogicSimulator,
-    SimulationMode,
-    resolve_engine_request,
-)
+from repro.sim.simulator import LogicSimulator, SimulationMode
 from repro.sim.vectors import random_words, zero_lsbs
 
 
@@ -73,9 +69,8 @@ def _gated_stimulus(
 #: for identical (netlist, mode) activities; simulation is the expensive
 #: part, so share it.  Keys use the netlist *content fingerprint* (names
 #: and cell counts can collide across rebuilt designs; structure cannot)
-#: plus every stimulus parameter and the requested engine.  The dict is
-#: LRU-bounded so long-lived serve/explore processes don't grow without
-#: limit.
+#: plus every stimulus parameter.  The dict is LRU-bounded so long-lived
+#: serve/explore processes don't grow without limit.
 _ACTIVITY_CACHE: "OrderedDict[tuple, ActivityReport]" = OrderedDict()
 
 #: Maximum number of memoized reports (one per (design, mode, stimulus)
@@ -100,7 +95,6 @@ def measure_activity(
     batch: int = 64,
     seed: int = 2017,
     warmup_cycles: int = 4,
-    engine: Optional[str] = None,
 ) -> ActivityReport:
     """Measure per-net toggle rates of *netlist* at an accuracy mode.
 
@@ -108,15 +102,12 @@ def measure_activity(
     words every cycle, drops *warmup_cycles* cycles of reset transient,
     and averages transitions per cycle across the remaining cycles and the
     whole batch of independent streams.  Results are memoized per
-    (netlist content, mode, stimulus parameters, engine); *engine* is an
-    engine request as accepted by :class:`LogicSimulator` (None consults
-    ``$REPRO_SIM_ENGINE``, defaulting to ``"auto"``).
+    (netlist content, mode, stimulus parameters).
     """
     if cycles < warmup_cycles + 2:
         raise ValueError("need at least warmup_cycles + 2 cycles")
-    requested_engine = resolve_engine_request(engine)
     cache_key = (
-        netlist.content_fingerprint(), requested_engine,
+        netlist.content_fingerprint(),
         active_bits, cycles, batch, seed, warmup_cycles,
     )
     cached = _ACTIVITY_CACHE.get(cache_key)
@@ -124,9 +115,7 @@ def measure_activity(
         _ACTIVITY_CACHE.move_to_end(cache_key)
         return cached
     rng = np.random.default_rng(seed + 977 * active_bits)
-    simulator = LogicSimulator(
-        netlist, SimulationMode.CYCLE, engine=requested_engine
-    )
+    simulator = LogicSimulator(netlist, SimulationMode.CYCLE)
     stimulus = [
         _gated_stimulus(rng, netlist, active_bits, batch) for _ in range(cycles)
     ]
@@ -150,12 +139,11 @@ def activity_sweep(
     cycles: int = 48,
     batch: int = 64,
     seed: int = 2017,
-    engine: Optional[str] = None,
 ) -> Dict[int, ActivityReport]:
     """Measure activity for every accuracy mode in *bitwidths*."""
     return {
         bits: measure_activity(
-            netlist, bits, cycles=cycles, batch=batch, seed=seed, engine=engine
+            netlist, bits, cycles=cycles, batch=batch, seed=seed
         )
         for bits in bitwidths
     }

@@ -10,25 +10,19 @@ Two evaluation modes:
   inputs are applied per cycle, state advances on the (implicit) clock
   edge.  Required for the FIR (accumulator/counter/delay-line feedback).
 
-Two execution engines behind the same API:
-
-* ``interpreted`` -- one Python-level evaluation per cell on ``(batch,)``
-  boolean arrays.  The reference semantics.
-* ``packed`` -- the compiled bit-packed engine of :mod:`repro.sim.packed`:
-  uint64 bitplanes, 64 stimuli per word, one vectorized bitwise op per
-  (level, cell-template) group.  Bit-identical to the interpreted engine
-  (boolean algebra is exact) and differential-tested to stay that way.
-
-``engine="auto"`` (the default, overridable via ``$REPRO_SIM_ENGINE``)
-compiles the packed engine and silently falls back to interpreted when
-the netlist uses a template without a packed op or the host is
-big-endian; ``engine="packed"`` makes that fallback an error.
+Evaluation runs on the compiled bit-packed engine of
+:mod:`repro.sim.packed`: uint64 bitplanes, 64 stimuli per word, one
+vectorized bitwise op per (level, cell-template) group.  When the
+netlist uses a template without a packed op, or the host is big-endian,
+:class:`PackedEngine` raises :class:`PackedCompileError` and the
+simulator falls back to an interpreted loop (one Python-level
+evaluation per cell on ``(batch,)`` boolean arrays).  Boolean algebra
+is exact, so both give the same bits.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -44,26 +38,6 @@ from repro.sim.packed import (
 )
 from repro.sim.vectors import bits_to_int, int_to_bits
 
-#: Environment variable selecting the default simulation engine.
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-#: Valid engine requests.
-ENGINES = ("auto", "packed", "interpreted")
-
-
-def resolve_engine_request(engine: Optional[str]) -> str:
-    """Normalize an engine request (None -> ``$REPRO_SIM_ENGINE`` -> auto).
-
-    Delegates to :func:`repro.core.config.resolve_env_choice`, the one
-    choice-knob policy shared with the STA and serve engine selectors.
-    """
-    from repro.core.config import resolve_env_choice
-
-    return resolve_env_choice(
-        engine, ENGINE_ENV_VAR, ENGINES, what="simulation engine"
-    )
-
-
 class SimulationMode(enum.Enum):
     TRANSPARENT = "transparent"
     CYCLE = "cycle"
@@ -76,21 +50,16 @@ class LogicSimulator:
         self,
         netlist: Netlist,
         mode: SimulationMode = SimulationMode.CYCLE,
-        engine: Optional[str] = None,
     ):
         self.netlist = netlist
         self.mode = mode
         self._order = self._compile_order()
-        requested = resolve_engine_request(engine)
-        self._packed: Optional[PackedEngine] = None
-        if requested != "interpreted":
-            try:
-                self._packed = PackedEngine(
-                    netlist, self._order, mode is SimulationMode.TRANSPARENT
-                )
-            except PackedCompileError:
-                if requested == "packed":
-                    raise
+        try:
+            self._packed: Optional[PackedEngine] = PackedEngine(
+                netlist, self._order, mode is SimulationMode.TRANSPARENT
+            )
+        except PackedCompileError:
+            self._packed = None
         #: The engine actually in use ("packed" or "interpreted").
         self.engine = "packed" if self._packed is not None else "interpreted"
 
@@ -330,7 +299,7 @@ class LogicSimulator:
         On the packed engine this streams: consecutive post-warmup
         bitplane frames are XORed and popcounted into per-net counters,
         so no per-cycle net-value matrix is ever materialized.  The
-        interpreted engine runs the legacy ``collect_net_values`` path.
+        interpreted fallback runs the ``collect_net_values`` path.
         Both produce bit-identical rates: integer toggle counts over the
         same ``(kept_cycles - 1) * batch`` transitions.
         """

@@ -11,7 +11,7 @@ The netlist is compiled once into a flat arc-level timing graph
   assignments of a partitioned design simultaneously, which is what makes
   the paper's exhaustive exploration cheap;
 * :mod:`lattice` -- the float64 whole-lattice kernel behind the
-  exploration's ``--sta-engine`` selector: (combos, nets) arrival and
+  exploration's feasibility filter: (combos, nets) arrival and
   required tensors, per-combo WNS / critical-endpoint / feasibility in
   one pass, bit-identical to looping the scalar engine.
 """
@@ -19,11 +19,7 @@ The netlist is compiled once into a flat arc-level timing graph
 from repro.sta.graph import TimingGraph, compile_timing_graph
 from repro.sta.engine import StaEngine, TimingReport
 from repro.sta.batch import BatchStaEngine
-from repro.sta.lattice import (
-    LatticeStaEngine,
-    LatticeTimingResult,
-    resolve_sta_engine,
-)
+from repro.sta.lattice import LatticeStaEngine, LatticeTimingResult
 from repro.sta.caseanalysis import (
     CaseAnalysis,
     propagate_constants,
@@ -43,7 +39,6 @@ __all__ = [
     "BatchStaEngine",
     "LatticeStaEngine",
     "LatticeTimingResult",
-    "resolve_sta_engine",
     "CaseAnalysis",
     "propagate_constants",
     "dvas_case",

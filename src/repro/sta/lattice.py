@@ -18,17 +18,10 @@ so its per-combo WNS, feasibility mask and critical-endpoint ids are
 over the combinations -- the differential and hypothesis suites hold it
 to that.  It also runs the backward (required-time) sweep on the same
 lattice axis, which no previous batched path offered.
-
-Engine selection mirrors the simulation engines of PR 3: exploration
-callers pass ``"auto"`` / ``"lattice"`` / ``"pointwise"`` (settings
-field, ``--sta-engine`` flag, or ``$REPRO_STA_ENGINE``), where
-``pointwise`` is the per-combination scalar reference loop and ``auto``
-resolves to the lattice kernel.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,39 +29,15 @@ import numpy as np
 
 from repro.sta.caseanalysis import CaseAnalysis, UNKNOWN
 from repro.sta.constraints import ClockConstraint
-from repro.sta.engine import NEG_INF, POS_INF, StaEngine
+from repro.sta.engine import NEG_INF, POS_INF
 from repro.sta.graph import TimingGraph
 from repro.sta.sweep import LevelizedSchedule, schedule_for
 from repro.techlib.library import Library
-
-#: Environment variable selecting the default STA engine.
-STA_ENGINE_ENV_VAR = "REPRO_STA_ENGINE"
-
-#: Valid engine requests.  ``pointwise`` loops the scalar engine over the
-#: BB combinations (the reference semantics); ``lattice`` sweeps them all
-#: in one tensor pass; ``auto`` resolves to ``lattice``.
-STA_ENGINES = ("auto", "lattice", "pointwise")
 
 #: Bump when the lattice kernel's numerics or result schema change; the
 #: shard-cache fingerprint embeds it so stale entries miss instead of
 #: being served to a differently-shaped run.
 LATTICE_SCHEMA = 1
-
-
-def resolve_sta_engine(engine: Optional[str]) -> str:
-    """Normalize an engine request (None -> ``$REPRO_STA_ENGINE`` -> auto).
-
-    Returns the engine that will actually run (``"lattice"`` or
-    ``"pointwise"``) -- cache fingerprints key on this resolved value, so
-    an explicit ``--sta-engine lattice`` and a defaulted ``auto`` share
-    shard entries while lattice and pointwise runs never do.
-    """
-    from repro.core.config import resolve_env_choice
-
-    requested = resolve_env_choice(
-        engine, STA_ENGINE_ENV_VAR, STA_ENGINES, what="STA engine"
-    )
-    return "pointwise" if requested == "pointwise" else "lattice"
 
 
 # -- lattice-layout sweep kernels -------------------------------------------
@@ -543,44 +512,3 @@ class LatticeStaEngine:
                 )
             )
         return results
-
-    # -- reference loop -----------------------------------------------------
-
-    def analyze_pointwise(
-        self,
-        constraint: ClockConstraint,
-        vdd: float,
-        configs: Optional[np.ndarray] = None,
-        case: Optional[CaseAnalysis] = None,
-    ) -> LatticeTimingResult:
-        """The per-combination scalar reference loop (``pointwise``).
-
-        One :meth:`StaEngine.analyze` call per BB combination -- the
-        semantics the lattice pass is differential-tested against, and
-        the ``--sta-engine pointwise`` execution path.
-        """
-        from repro.sta.batch import all_bb_configs
-
-        if configs is None:
-            configs = all_bb_configs(self.num_domains)
-        configs = np.asarray(configs, dtype=bool)
-        scalar = StaEngine(self.graph, self.library)
-        worst = np.empty(len(configs))
-        critical = np.empty(len(configs), dtype=np.int64)
-        for k, config in enumerate(configs):
-            if self.num_domains == 0:
-                fbb_cells = np.zeros(self.graph.num_cells, dtype=bool)
-            else:
-                fbb_cells = config[self.domains]
-            report = scalar.analyze(
-                constraint, vdd, fbb_cells, case=case, compute_required=False
-            )
-            worst[k] = report.worst_slack_ps
-            critical[k] = report.critical_endpoint_net
-        return LatticeTimingResult(
-            constraint=constraint,
-            vdd=vdd,
-            configs=configs,
-            worst_slack_ps=worst,
-            critical_endpoint_net=critical,
-        )

@@ -333,29 +333,5 @@ def generate_suite(
 
 
 def load_trace_file(path) -> List[Tuple[int, int]]:
-    """Load phases from *path*: a trace artifact or a legacy list.
-
-    Accepts either a :class:`WorkloadTrace` JSON document or the legacy
-    ``[{"bits": ..., "cycles": ...}, ...]`` list the ``repro replay``
-    command historically consumed.
-    """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"trace file {path} is not valid JSON") from exc
-    if isinstance(payload, dict):
-        return WorkloadTrace.from_dict(payload).to_phases()
-    if isinstance(payload, list):
-        try:
-            return [
-                (int(entry["bits"]), int(entry["cycles"]))
-                for entry in payload
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceError(
-                f"legacy trace list in {path} must contain "
-                '{"bits", "cycles"} objects'
-            ) from exc
-    raise TraceError(
-        f"trace file {path} must hold a trace object or a legacy list"
-    )
+    """Load the phases of the :class:`WorkloadTrace` document at *path*."""
+    return WorkloadTrace.load(path).to_phases()

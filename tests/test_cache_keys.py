@@ -250,46 +250,8 @@ class TestKeySensitivity:
 
 
 class TestStaEngineKeying:
-    """The key embeds the *resolved* STA engine + lattice kernel schema.
-
-    ``auto`` and an explicit ``lattice`` run the same kernel, so they
-    share entries; ``pointwise`` results must never be served to a
-    lattice run (or vice versa), even though the engines are
-    differential-tested bit-identical.
-    """
-
-    def test_resolved_engine_in_key(self, key_parts, monkeypatch):
-        monkeypatch.delenv("REPRO_STA_ENGINE", raising=False)
-        auto = make_key(key_parts)  # SETTINGS defaults to sta_engine="auto"
-        lattice = make_key(
-            key_parts,
-            settings=dataclasses.replace(SETTINGS, sta_engine="lattice"),
-        )
-        pointwise = make_key(
-            key_parts,
-            settings=dataclasses.replace(SETTINGS, sta_engine="pointwise"),
-        )
-        assert lattice != pointwise
-        assert auto == lattice, "auto resolves to lattice; same kernel"
-
-    def test_env_override_rekeys_auto(self, key_parts, monkeypatch):
-        """$REPRO_STA_ENGINE redirects ``auto`` runs, so it must redirect
-        their cache keys too -- to exactly the explicit engine's keys."""
-        monkeypatch.delenv("REPRO_STA_ENGINE", raising=False)
-        explicit_pointwise = make_key(
-            key_parts,
-            settings=dataclasses.replace(SETTINGS, sta_engine="pointwise"),
-        )
-        monkeypatch.setenv("REPRO_STA_ENGINE", "pointwise")
-        assert make_key(key_parts) == explicit_pointwise
-        # Explicit requests ignore the env: still the lattice key.
-        assert (
-            make_key(
-                key_parts,
-                settings=dataclasses.replace(SETTINGS, sta_engine="lattice"),
-            )
-            != explicit_pointwise
-        )
+    """The key embeds the lattice kernel's schema, so entries written by
+    a kernel with different numerics miss instead of being served."""
 
     def test_lattice_schema_version_in_key(self, key_parts, monkeypatch):
         import repro.sta.lattice as lattice_mod
@@ -297,31 +259,6 @@ class TestStaEngineKeying:
         baseline = make_key(key_parts)
         monkeypatch.setattr(lattice_mod, "LATTICE_SCHEMA", 9999)
         assert make_key(key_parts) != baseline
-
-    def test_pointwise_shards_never_served_to_lattice_run(
-        self, tmp_path, design, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_STA_ENGINE", raising=False)
-        pointwise = dataclasses.replace(
-            SETTINGS, cache=True, cache_dir=str(tmp_path),
-            sta_engine="pointwise",
-        )
-        first = ExhaustiveExplorer(design).run(pointwise)
-        assert first.cache_stats.writes > 0
-
-        lattice = dataclasses.replace(pointwise, sta_engine="lattice")
-        cross = ExhaustiveExplorer(design).run(lattice)
-        assert cross.cache_stats.hits == 0, (
-            "lattice run must not consume pointwise shards"
-        )
-        assert cross.cache_stats.writes == first.cache_stats.writes
-        assert cross.best_per_bitwidth == first.best_per_bitwidth
-
-        # Both engines' entries now coexist; each re-run is all-hits.
-        for settings in (pointwise, lattice):
-            rerun = ExhaustiveExplorer(design).run(settings)
-            assert rerun.cache_stats.misses == 0
-            assert rerun.cache_stats.hits > 0
 
 
 class TestCorruption:

@@ -11,7 +11,9 @@ from repro.core.runtime import (
     WorkloadPhase,
 )
 from repro.core.tristate import STATE_NAMES, TriStateExplorer
+from repro.serve.scheduler import replay_trace
 from repro.sta.batch import all_state_configs
+from tests.oracles.serve import replay_reference
 
 SETTINGS = ExplorationSettings(
     bitwidths=(2, 4, 6, 8), activity_cycles=12, activity_batch=12
@@ -130,7 +132,7 @@ class TestRuntimeController:
             WorkloadPhase(required_bits=2, cycles=90_000),
             WorkloadPhase(required_bits=8, cycles=10_000),
         ]
-        report = controller.replay(workload)
+        report = replay_trace(controller.compiled(), workload)
         assert report.total_cycles == 110_000
         assert report.phases == 3
         assert report.total_energy_j == pytest.approx(
@@ -143,8 +145,9 @@ class TestRuntimeController:
 
     def test_static_workload_has_no_switches(self, booth8_domained, two_state):
         controller = AccuracyController(booth8_domained, two_state)
-        report = controller.replay(
-            [WorkloadPhase(required_bits=8, cycles=1000)] * 3
+        report = replay_trace(
+            controller.compiled(),
+            [WorkloadPhase(required_bits=8, cycles=1000)] * 3,
         )
         # First phase powers the bias rails once; then nothing changes.
         assert report.mode_switches <= 1
@@ -153,7 +156,7 @@ class TestRuntimeController:
     def test_empty_workload_rejected(self, booth8_domained, two_state):
         controller = AccuracyController(booth8_domained, two_state)
         with pytest.raises(ValueError, match="empty"):
-            controller.replay([])
+            replay_trace(controller.compiled(), [])
 
     def test_generator_model_energy_scales(self):
         generator = BiasGeneratorModel()
@@ -236,7 +239,7 @@ class TestSwitchCounting:
             WorkloadPhase(required_bits=2, cycles=1_000),
             WorkloadPhase(required_bits=8, cycles=1_000),
         ]
-        report = controller.replay(trace)
+        report = replay_trace(controller.compiled(), trace)
         points = [controller.mode_for(p.required_bits) for p in trace]
         expected = sum(
             1
@@ -258,6 +261,6 @@ class TestSwitchCounting:
             for _ in range(20)
         ]
         assert (
-            controller.replay(trace).mode_switches
-            == controller.replay_reference(trace).mode_switches
+            replay_trace(controller.compiled(), trace).mode_switches
+            == replay_reference(controller, trace).mode_switches
         )

@@ -1,17 +1,18 @@
 """Cross-engine lock-in of the exploration flow.
 
-The simulation engine is an execution knob, not a semantic one: switching
-``sim_engine`` between interpreted and packed must not move a single bit
-of the exploration results -- serially, through the parallel sharded
-engine, and through warm and cold persistent caches.  (The persistent
-cache *fingerprint* does include the engine choice, so warmed entries are
-never shared across engines; the results still must agree.)
+The exploration runs one engine per layer: packed activity simulation
+and lattice STA.  Swapping in the reference engines of
+:mod:`tests.oracles` -- the interpreted simulator and the
+per-combination scalar STA loop -- must not move a single bit of the
+results: serially, through the parallel sharded engine, and through
+warm and cold persistent caches.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.cli import main
 from repro.core.config import ExplorationSettings
 from repro.core.exploration import ExhaustiveExplorer
 from repro.core.flow import implement_with_domains
@@ -19,13 +20,15 @@ from repro.operators import booth_multiplier, fir_filter
 from repro.operators.fir import FirParameters
 from repro.pnr.grid import GridPartition
 from repro.sim.activity import clear_activity_cache
+from tests.oracles import require_fork
+from tests.oracles.sim import interpreted_engine
+from tests.oracles.sta import force_pointwise
 from tests.test_parallel_differential import assert_identical
 
 SETTINGS = ExplorationSettings(
     bitwidths=(2, 3, 4, 6),
     activity_cycles=10,
     activity_batch=8,
-    sim_engine="interpreted",
 )
 
 OPERATORS = ["booth", "fir"]
@@ -49,31 +52,40 @@ def designs(library):
 
 @pytest.fixture(scope="module")
 def interpreted_reference(designs):
+    """Serial explorations on the interpreted simulator.
+
+    The activity memo does not key on the engine, so it is cleared
+    before and after: neither side may be served the other's reports.
+    """
     clear_activity_cache()
-    return {
-        op: ExhaustiveExplorer(design).run(SETTINGS)
-        for op, design in designs.items()
-    }
+    with interpreted_engine():
+        reference = {
+            op: ExhaustiveExplorer(design).run(SETTINGS)
+            for op, design in designs.items()
+        }
+    clear_activity_cache()
+    return reference
 
 
-def test_sim_engine_validated():
-    with pytest.raises(ValueError, match="sim_engine"):
-        ExplorationSettings(sim_engine="simd")
-
-
-def test_sim_engine_is_semantic():
-    """The engine choice must show up in cache fingerprints."""
-    assert "sim_engine" in SETTINGS.semantic_fields()
+def test_sim_engine_validated(capsys):
+    """The selector is gone: the flag is an unrecognized argument."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            [
+                "explore", "--design", "adder", "--width", "4",
+                "--sim-engine", "packed",
+            ]
+        )
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("operator", OPERATORS)
-@pytest.mark.parametrize("engine", ["packed", "auto"])
 def test_serial_exploration_engine_invariant(
-    operator, engine, designs, interpreted_reference
+    operator, designs, interpreted_reference
 ):
     clear_activity_cache()
-    settings = dataclasses.replace(SETTINGS, sim_engine=engine)
-    result = ExhaustiveExplorer(designs[operator]).run(settings)
+    result = ExhaustiveExplorer(designs[operator]).run(SETTINGS)
     assert_identical(interpreted_reference[operator], result)
 
 
@@ -88,7 +100,6 @@ def test_parallel_sharded_engine_invariant(
     clear_activity_cache()
     settings = dataclasses.replace(
         SETTINGS,
-        sim_engine="packed",
         workers=2,
         cache=True,
         cache_dir=str(tmp_path),
@@ -104,68 +115,30 @@ def test_parallel_sharded_engine_invariant(
     assert_identical(interpreted_reference[operator], result)
 
 
-def test_cache_entries_not_shared_across_engines(designs, tmp_path):
-    """Switching engines against the same cache dir re-misses: the
-    fingerprint keys on the engine choice (schema 2)."""
-    clear_activity_cache()
-    base = dataclasses.replace(
-        SETTINGS, workers=1, cache=True, cache_dir=str(tmp_path)
-    )
-    explorer = ExhaustiveExplorer(designs["booth"])
-    warmed = explorer.run(base)
-    assert warmed.cache_stats.misses > 0
-    switched = explorer.run(dataclasses.replace(base, sim_engine="packed"))
-    assert switched.cache_stats.hits == 0
-    assert switched.cache_stats.misses == warmed.cache_stats.misses
-    assert_identical(warmed, switched)
-
-
-def test_sta_engine_validated():
-    with pytest.raises(ValueError, match="sta_engine"):
-        ExplorationSettings(sta_engine="quantum")
+def test_sta_engine_validated(capsys):
+    """The selector is gone: the flag is an unrecognized argument."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            [
+                "explore", "--design", "adder", "--width", "4",
+                "--sta-engine", "pointwise",
+            ]
+        )
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("operator", OPERATORS)
 def test_sta_engine_invariant_through_parallel_path(
-    operator, designs, interpreted_reference, tmp_path
+    operator, designs, interpreted_reference, tmp_path, monkeypatch
 ):
-    """Both STA engines, through the sharded parallel path with a
-    persistent cache, agree with the serial reference bit for bit."""
-    for sta_engine in ("lattice", "pointwise"):
-        clear_activity_cache()
-        settings = dataclasses.replace(
-            SETTINGS,
-            sta_engine=sta_engine,
-            workers=2,
-            cache=True,
-            cache_dir=str(tmp_path),
-        )
-        result = ExhaustiveExplorer(designs[operator]).run(settings)
-        assert_identical(interpreted_reference[operator], result)
-
-
-def test_cache_entries_not_shared_across_sta_engines(designs, tmp_path):
-    """Lattice and pointwise shards coexist in one cache dir but never
-    cross-serve: the fingerprint keys on the resolved STA engine."""
-    clear_activity_cache()
-    base = dataclasses.replace(
-        SETTINGS,
-        workers=1,
-        cache=True,
-        cache_dir=str(tmp_path),
-        sta_engine="lattice",
+    """The pointwise STA oracle, swapped into the sharded parallel path
+    with a persistent cache, agrees with the serial reference bit for
+    bit."""
+    require_fork()
+    force_pointwise(monkeypatch)
+    settings = dataclasses.replace(
+        SETTINGS, workers=2, cache=True, cache_dir=str(tmp_path)
     )
-    explorer = ExhaustiveExplorer(designs["booth"])
-    warmed = explorer.run(base)
-    assert warmed.cache_stats.misses > 0
-    switched = explorer.run(
-        dataclasses.replace(base, sta_engine="pointwise")
-    )
-    assert switched.cache_stats.hits == 0
-    assert switched.cache_stats.misses == warmed.cache_stats.misses
-    assert_identical(warmed, switched)
-    # "auto" resolves to lattice and must re-hit the lattice entries.
-    rerun = explorer.run(dataclasses.replace(base, sta_engine="auto"))
-    assert rerun.cache_stats.misses == 0
-    assert rerun.cache_stats.hits == warmed.cache_stats.misses
-    assert_identical(warmed, rerun)
+    result = ExhaustiveExplorer(designs[operator]).run(settings)
+    assert_identical(interpreted_reference[operator], result)

@@ -18,6 +18,8 @@ from repro.operators import adequate_adder, booth_multiplier, fir_filter
 from repro.operators.fir import FirParameters
 from repro.parallel.engine import ParallelExplorer
 from repro.pnr.grid import GridPartition
+from tests.oracles import require_fork
+from tests.oracles.sta import force_pointwise
 
 SETTINGS = ExplorationSettings(
     bitwidths=(2, 3, 4, 6),
@@ -124,12 +126,16 @@ def test_combo_shard_boundaries_are_invisible(
 
 @pytest.mark.parametrize("sta_engine", ["lattice", "pointwise"])
 def test_combo_shards_identical_across_sta_engines(
-    sta_engine, designs, serial_reference
+    sta_engine, designs, serial_reference, monkeypatch
 ):
-    """Combo-sliced shards agree with the serial sweep under both STA
-    engines (each shard runs a partial-lattice pass)."""
+    """Combo-sliced shards agree with the serial sweep on the lattice
+    kernel and on the pointwise oracle (each shard runs a partial
+    pass over its combo slice)."""
+    if sta_engine == "pointwise":
+        require_fork()
+        force_pointwise(monkeypatch)
     result = ParallelExplorer(designs["booth"]).run(
-        dataclasses.replace(SETTINGS, workers=2, sta_engine=sta_engine),
+        dataclasses.replace(SETTINGS, workers=2),
         max_combos_per_shard=5,
     )
     assert_identical(serial_reference["booth"], result)

@@ -128,6 +128,23 @@ class TestCli:
         saved = json.loads(out_json.read_text())
         assert saved["design_name"].startswith("adder")
 
+    def test_exploration_result_is_not_a_mode_table(self, capsys, tmp_path):
+        out_json = tmp_path / "x.json"
+        code = main(
+            [
+                "explore", "--design", "adder", "--width", "4",
+                "--grid", "1x2", "--output", str(out_json),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"exploration result written to {out_json}" in out
+        assert main(["replay", "--table", str(out_json)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a mode table (kind=None")
+        assert "repro compile-table" in err
+        assert "--exploration FILE" in err
+
     def test_report_timing_runs(self, capsys):
         code = main(
             [

@@ -1,8 +1,8 @@
 """Differential wall: the batched serve kernel vs the scalar reference.
 
-Every test here runs the same work twice -- once through the scalar
-per-request path (``engine="scalar"``) and once through the batched
-array kernel (``engine="batch"``) -- and asserts **bit identity**:
+Every test here runs the same work twice -- once through the
+per-request ``submit`` oracles of :mod:`tests.oracles.serve` and once
+through the batched array kernel -- and asserts **bit identity**:
 equal ServedPhase streams, equal telemetry snapshots (histogram float
 sums included), equal per-operator reports.  This is the serve-tier
 analogue of ``tests/test_sta_lattice_differential.py``.
@@ -12,11 +12,10 @@ policy's deeper differential lives in ``tests/test_serve_learned.py``),
 multi-operator frames with pool contention and queue-depth degradation,
 array-out serving, the time-invariant margin guard (including
 statically unsafe modes), the scalar fallback under a time-varying
-fault schedule, exception parity for uncoverable requests, the asyncio
-server's drain window, and a real 2-worker fleet.
+fault schedule, exception parity for uncoverable requests, the replay
+CLI, and a real 2-worker fleet.
 """
 
-import asyncio
 import json
 
 import numpy as np
@@ -33,11 +32,16 @@ from repro.serve import (
     ServeRequest,
     replay_trace,
 )
-from repro.serve.server import AccuracyServer, phase_to_dict
+from repro.serve.server import phase_to_dict
 from tests.conftest import (
     build_learned_table,
     build_margined_table,
     build_synthetic_table,
+)
+from tests.oracles.serve import (
+    ScalarFrameScheduler,
+    force_per_request_fleet,
+    replay_scalar,
 )
 
 POLICIES = ("greedy", "hysteresis", "lookahead")
@@ -76,14 +80,13 @@ def request_mix(length, operators, seed=11, bits_pool=BITWIDTHS):
 def twin_schedulers(
     table_factory=build_synthetic_table, guard_factory=None, **kwargs
 ):
-    """Identical schedulers, one per engine (separate tables/guards)."""
+    """Identical schedulers (separate tables/guards): the per-request
+    oracle first, the batched kernel second."""
     pair = []
-    for engine in ("scalar", "batch"):
+    for kind in (ScalarFrameScheduler, ModeScheduler):
         table = table_factory()
         guard = guard_factory(table) if guard_factory is not None else None
-        pair.append(
-            ModeScheduler(table, guard=guard, engine=engine, **kwargs)
-        )
+        pair.append(kind(table, guard=guard, **kwargs))
     return pair
 
 
@@ -100,8 +103,8 @@ class TestReplayDifferential:
     def test_reports_bit_identical(self, policy, length):
         table = build_synthetic_table()
         trace = phase_trace(length, seed=length)
-        scalar = replay_trace(table, trace, policy=policy, engine="scalar")
-        batch = replay_trace(table, trace, policy=policy, engine="batch")
+        scalar = replay_scalar(table, trace, policy=policy)
+        batch = replay_trace(table, trace, policy=policy)
         assert scalar == batch
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -112,9 +115,9 @@ class TestReplayDifferential:
             for i in range(120)
         ]
         table = build_synthetic_table()
-        assert replay_trace(
-            table, trace, policy=policy, engine="scalar"
-        ) == replay_trace(table, trace, policy=policy, engine="batch")
+        assert replay_scalar(
+            table, trace, policy=policy
+        ) == replay_trace(table, trace, policy=policy)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_uncovered_bits_still_covered_identically(self, policy):
@@ -125,29 +128,27 @@ class TestReplayDifferential:
             for bits in (1, 3, 5, 7, 8, 7, 5, 3, 1, 2, 6, 4)
         ]
         table = build_synthetic_table()
-        assert replay_trace(
-            table, trace, policy=policy, engine="scalar"
-        ) == replay_trace(table, trace, policy=policy, engine="batch")
+        assert replay_scalar(
+            table, trace, policy=policy
+        ) == replay_trace(table, trace, policy=policy)
 
     @pytest.mark.parametrize("window", [0, 1, 2, 4, 9])
     def test_lookahead_windows(self, window):
         table = build_synthetic_table()
         trace = phase_trace(90, seed=window + 1)
-        assert replay_trace(
-            table, trace, policy="lookahead", engine="scalar",
-            lookahead_window=window,
+        assert replay_scalar(
+            table, trace, policy="lookahead", lookahead_window=window,
         ) == replay_trace(
-            table, trace, policy="lookahead", engine="batch",
-            lookahead_window=window,
+            table, trace, policy="lookahead", lookahead_window=window,
         )
 
     def test_zero_cycle_phases(self):
         table = build_synthetic_table()
         trace = [WorkloadPhase(required_bits=b, cycles=0) for b in (8, 2, 8)]
         for policy in POLICIES:
-            assert replay_trace(
-                table, trace, policy=policy, engine="scalar"
-            ) == replay_trace(table, trace, policy=policy, engine="batch")
+            assert replay_scalar(
+                table, trace, policy=policy
+            ) == replay_trace(table, trace, policy=policy)
 
 
 class TestLearnedReplayDifferential:
@@ -160,11 +161,11 @@ class TestLearnedReplayDifferential:
     def test_reports_bit_identical(self, length):
         table, _result = build_learned_table()
         trace = phase_trace(length, seed=length)
-        assert replay_trace(
-            table, trace, policy="learned", engine="scalar"
-        ) == replay_trace(table, trace, policy="learned", engine="batch")
+        assert replay_scalar(
+            table, trace, policy="learned"
+        ) == replay_trace(table, trace, policy="learned")
 
-    def test_two_worker_fleet_with_policy_params(self):
+    def test_two_worker_fleet_with_policy_params(self, monkeypatch):
         from repro.fleet import FleetRouter
 
         table, _result = build_learned_table()
@@ -173,11 +174,11 @@ class TestLearnedReplayDifferential:
             for r in request_mix(120, ("op0", "op1", "op2"), seed=4)
         ]
         results = {}
-        for engine in ("scalar", "batch"):
-            with FleetRouter(
-                table, workers=2, policy="learned", engine=engine
-            ) as router:
-                results[engine] = router.submit_many(requests)
+        for kind in ("batch", "scalar"):
+            if kind == "scalar":
+                force_per_request_fleet(monkeypatch)
+            with FleetRouter(table, workers=2, policy="learned") as router:
+                results[kind] = router.submit_many(requests)
         assert results["batch"] == results["scalar"]
         for phase, (_op, bits, _cycles) in zip(
             results["batch"], requests
@@ -356,67 +357,10 @@ class TestExceptionParity:
         assert_schedulers_equal(scalar, batch)
 
 
-class TestServerDrainWindow:
-    @staticmethod
-    def drive(engine, drain_window=32):
-        scheduler = ModeScheduler(
-            build_synthetic_table(), num_generators=2, engine=engine
-        )
-        server = AccuracyServer(
-            scheduler, max_pending=256, drain_window=drain_window
-        )
-        requests = request_mix(180, ("s0", "s1", "s2"), seed=3)
-
-        async def body():
-            async with server:
-                phases = await asyncio.gather(
-                    *(
-                        server.request(r.operator, r.required_bits, r.cycles)
-                        for r in requests
-                    )
-                )
-                return phases, server.stats()
-
-        return asyncio.run(body())
-
-    def test_batch_drain_matches_scalar_drain(self):
-        scalar_phases, scalar_stats = self.drive("scalar")
-        batch_phases, batch_stats = self.drive("batch")
-        assert [phase_to_dict(p) for p in batch_phases] == [
-            phase_to_dict(p) for p in scalar_phases
-        ]
-        assert batch_stats == scalar_stats
-
-    def test_window_of_one_disables_batching(self):
-        phases, stats = self.drive("batch", drain_window=1)
-        reference, ref_stats = self.drive("scalar")
-        assert [phase_to_dict(p) for p in phases] == [
-            phase_to_dict(p) for p in reference
-        ]
-        assert stats == ref_stats
-
-    def test_uncoverable_request_fails_alone_in_batch_window(self):
-        scheduler = ModeScheduler(build_synthetic_table(), engine="batch")
-        server = AccuracyServer(scheduler, max_pending=64)
-
-        async def body():
-            async with server:
-                results = await asyncio.gather(
-                    server.request("op", 4, 100),
-                    server.request("op", 16, 100),
-                    server.request("op", 6, 100),
-                    return_exceptions=True,
-                )
-                return results
-
-        ok1, bad, ok2 = asyncio.run(body())
-        assert ok1.served_bits >= 4
-        assert isinstance(bad, ValueError)
-        assert ok2.served_bits >= 6
-
-
 class TestFleetEngines:
-    def test_two_worker_fleet_bit_identical_across_engines(self):
+    def test_two_worker_fleet_bit_identical_across_engines(
+        self, monkeypatch
+    ):
         from repro.fleet import FleetRouter
 
         table = build_synthetic_table()
@@ -428,17 +372,17 @@ class TestFleetEngines:
         ]
         results = {}
         stats = {}
-        for engine in ("scalar", "batch"):
-            with FleetRouter(
-                table, workers=2, batch_window=16, engine=engine
-            ) as router:
+        for kind in ("batch", "scalar"):
+            if kind == "scalar":
+                force_per_request_fleet(monkeypatch)
+            with FleetRouter(table, workers=2, batch_window=16) as router:
                 phases = []
                 for offset in range(0, len(requests), 100):
                     phases.extend(
                         router.submit_many(requests[offset : offset + 100])
                     )
-                results[engine] = phases
-                stats[engine] = router.stats()
+                results[kind] = phases
+                stats[kind] = router.stats()
         assert results["batch"] == results["scalar"]
         assert stats["batch"]["counters"] == stats["scalar"]["counters"]
         for batch_w, scalar_w in zip(
@@ -465,52 +409,48 @@ class TestReplayCli:
         )
         return capsys.readouterr().out.strip().splitlines()[-1]
 
-    def test_engines_print_identical_reports(self, capsys, table_path):
-        lines = {
-            engine: self.replay_line(
-                capsys, table_path, "--serve-engine", engine
+    @staticmethod
+    def oracle_line(policy="greedy"):
+        """The summary line ``replay --phases 40`` prints (default seed
+        and window), from the per-request oracle."""
+        table = build_synthetic_table()
+        rng = np.random.default_rng(2017)
+        workload = [
+            WorkloadPhase(
+                int(rng.choice(table.bitwidths)),
+                int(rng.integers(5_000, 100_000)),
             )
-            for engine in ("auto", "batch", "scalar")
-        }
-        assert lines["auto"] == lines["batch"] == lines["scalar"]
-        assert lines["auto"].startswith("policy greedy:")
+            for _ in range(40)
+        ]
+        report = replay_scalar(table, workload, policy=policy)
+        return f"policy {policy}: {report.summary()}"
+
+    def test_engines_print_identical_reports(self, capsys, table_path):
+        line = self.replay_line(capsys, table_path)
+        assert line == self.oracle_line()
+        assert line.startswith("policy greedy:")
 
     def test_env_override_and_bad_value(
         self, capsys, table_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "scalar")
-        scalar_env = self.replay_line(capsys, table_path)
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "batch")
-        batch_env = self.replay_line(capsys, table_path)
-        assert scalar_env == batch_env
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "warp")
-        with pytest.raises(ValueError, match="REPRO_SERVE_ENGINE"):
-            self.replay_line(capsys, table_path)
+        """The serve-engine variable is no longer read: stale exports,
+        valid or not, change nothing."""
+        for value in ("scalar", "warp"):
+            monkeypatch.setenv("REPRO_SERVE_ENGINE", value)
+            assert self.replay_line(capsys, table_path) == self.oracle_line()
 
-    def test_unknown_engine_flag_rejected(self, table_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "replay",
-                    "--table",
-                    table_path,
-                    "--serve-engine",
-                    "warp",
-                ]
-            )
+    def test_unknown_engine_flag_rejected(self, capsys, table_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", "--table", table_path, "--serve-engine", "batch"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("policy", ["hysteresis", "lookahead"])
     def test_policies_identical_across_engines(
         self, capsys, table_path, policy
     ):
-        lines = {
-            engine: self.replay_line(
-                capsys, table_path, "--policy", policy,
-                "--serve-engine", engine,
-            )
-            for engine in ("batch", "scalar")
-        }
-        assert lines["batch"] == lines["scalar"]
+        line = self.replay_line(capsys, table_path, "--policy", policy)
+        assert line == self.oracle_line(policy)
 
 
 class TestJsonSafety:

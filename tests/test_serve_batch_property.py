@@ -1,28 +1,19 @@
 """Property-based bit-identity for the batched serve kernel.
 
 Hypothesis drives randomized traces, frame shapes, policies and pool
-configurations through twin schedulers (one per engine) and asserts the
-batched kernel never diverges from the scalar reference -- the serve
-analogue of ``tests/test_sta_lattice_property.py``.  Also home of the
-``resolve_serve_engine`` selector contract (flag / env precedence and
-error shapes, shared with the sim and STA selectors).
+configurations through the batched kernel and the per-request oracles
+of :mod:`tests.oracles.serve`, and asserts they never diverge -- the
+serve analogue of ``tests/test_sta_lattice_property.py``.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.runtime import WorkloadPhase
-from repro.serve import (
-    SERVE_ENGINES,
-    ModeScheduler,
-    ServeRequest,
-    replay_trace,
-    resolve_serve_engine,
-)
-from repro.serve.compiled import SERVE_ENGINE_ENV
+from repro.serve import ModeScheduler, ServeRequest, replay_trace
 from repro.serve.telemetry import Histogram
 from tests.conftest import build_synthetic_table
+from tests.oracles.serve import ScalarFrameScheduler, replay_scalar
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -66,12 +57,10 @@ def test_replay_engines_agree(policy, trace, window):
     workload = [
         WorkloadPhase(required_bits=b, cycles=c) for b, c in trace
     ]
-    assert replay_trace(
-        table, workload, policy=policy, engine="scalar",
-        lookahead_window=window,
+    assert replay_scalar(
+        table, workload, policy=policy, lookahead_window=window,
     ) == replay_trace(
-        table, workload, policy=policy, engine="batch",
-        lookahead_window=window,
+        table, workload, policy=policy, lookahead_window=window,
     )
 
 
@@ -83,19 +72,17 @@ def test_replay_engines_agree(policy, trace, window):
     depth=st.integers(min_value=1, max_value=6),
 )
 def test_frames_bit_identical(policy, frames, generators, depth):
-    scalar = ModeScheduler(
+    scalar = ScalarFrameScheduler(
         build_synthetic_table(),
         num_generators=generators,
         policy=policy,
         max_queue_depth=depth,
-        engine="scalar",
     )
     batch = ModeScheduler(
         build_synthetic_table(),
         num_generators=generators,
         policy=policy,
         max_queue_depth=depth,
-        engine="batch",
     )
     for frame in frames:
         assert scalar.submit_batch(frame) == batch.submit_batch(frame)
@@ -125,47 +112,3 @@ def test_record_many_matches_scalar_record(values):
         scalar.record(value)
     vector.record_many(np.asarray(values, dtype=np.float64))
     assert vector.to_dict() == scalar.to_dict()
-
-
-class TestResolveServeEngine:
-    def test_defaults_to_batch(self, monkeypatch):
-        monkeypatch.delenv(SERVE_ENGINE_ENV, raising=False)
-        assert resolve_serve_engine(None) == "batch"
-        assert resolve_serve_engine("auto") == "batch"
-
-    def test_explicit_requests_win(self, monkeypatch):
-        monkeypatch.setenv(SERVE_ENGINE_ENV, "scalar")
-        assert resolve_serve_engine("batch") == "batch"
-        monkeypatch.setenv(SERVE_ENGINE_ENV, "batch")
-        assert resolve_serve_engine("scalar") == "scalar"
-
-    def test_env_steers_auto(self, monkeypatch):
-        monkeypatch.setenv(SERVE_ENGINE_ENV, "scalar")
-        assert resolve_serve_engine(None) == "scalar"
-        assert resolve_serve_engine("auto") == "scalar"
-        monkeypatch.setenv(SERVE_ENGINE_ENV, "batch")
-        assert resolve_serve_engine("auto") == "batch"
-
-    def test_unknown_request_message_shape(self):
-        with pytest.raises(ValueError, match="unknown serve engine 'warp'"):
-            resolve_serve_engine("warp")
-
-    def test_bad_env_message_shape(self, monkeypatch):
-        monkeypatch.setenv(SERVE_ENGINE_ENV, "warp")
-        with pytest.raises(
-            ValueError, match=r"\$REPRO_SERVE_ENGINE must be one of"
-        ):
-            resolve_serve_engine("auto")
-
-    def test_engines_tuple_is_the_contract(self):
-        assert SERVE_ENGINES == ("auto", "batch", "scalar")
-
-    def test_scheduler_records_resolved_engine(self, monkeypatch):
-        monkeypatch.delenv(SERVE_ENGINE_ENV, raising=False)
-        table = build_synthetic_table()
-        assert ModeScheduler(table).serve_engine == "batch"
-        assert (
-            ModeScheduler(table, engine="scalar").serve_engine == "scalar"
-        )
-        monkeypatch.setenv(SERVE_ENGINE_ENV, "scalar")
-        assert ModeScheduler(table, engine="auto").serve_engine == "scalar"

@@ -3,9 +3,9 @@
 Covers the three margin-guard behaviours (pass-through while safe,
 cheapest-safe substitution, static fallback when nothing covers), the
 guard's integration with the scheduler (fallback flags, transition
-retries/backoff, generator dropouts), and the schema-2 artifact:
-margins round-trip, schema-1 tables still load and serve, and every
-malformed payload surfaces as one clear ServeError.
+retries/backoff, generator dropouts), and the margin block of the
+artifact: margins round-trip, and every malformed payload surfaces as
+one clear ServeError.
 """
 
 import dataclasses
@@ -245,15 +245,6 @@ class TestMarginSchema:
         assert payload["margins"] is None
         again = ModeTable.from_dict(payload)
         assert not again.has_margins
-
-    def test_schema_1_payload_still_loads(self, margined_table):
-        payload = margined_table.to_dict()
-        payload["schema"] = 1
-        del payload["margins"]
-        again = ModeTable.from_dict(payload)
-        assert not again.has_margins
-        # ...and still serves.
-        ModeScheduler(again).submit(ServeRequest("op", 2, 100))
 
     def test_margin_for(self, margined_table, synthetic_table):
         assert margined_table.margin_for(2).guarded_slack_ps == 50.0

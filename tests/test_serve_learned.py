@@ -26,6 +26,7 @@ from repro.serve.policy import (
 from repro.serve.table import LearnedPolicySpec
 from repro.traces import generate_suite, generate_trace
 from tests.conftest import build_learned_table, build_synthetic_table
+from tests.oracles.serve import ScalarFrameScheduler, replay_scalar
 
 #: Slew energies comparable to phase compute -- the regime the learned
 #: policy is trained for (and the benchmark uses).
@@ -218,17 +219,15 @@ class TestBatchDifferential:
     )
     def test_replay_bit_identical(self, family):
         phases = suite_phases()[family]
-        scalar = replay_trace(
-            LEARNED, phases, policy="learned", engine="scalar"
-        )
-        batch = replay_trace(LEARNED, phases, policy="learned", engine="batch")
+        scalar = replay_scalar(LEARNED, phases, policy="learned")
+        batch = replay_trace(LEARNED, phases, policy="learned")
         assert scalar == batch
 
     def test_submit_batch_equals_submit_loop(self):
         phases = suite_phases(seed=5)["adversarial_flapping"]
         requests = [ServeRequest("op", p.required_bits, p.cycles) for p in phases]
-        reference = ModeScheduler(LEARNED, policy="learned", engine="scalar")
-        batch = ModeScheduler(LEARNED, policy="learned", engine="batch")
+        reference = ModeScheduler(LEARNED, policy="learned")
+        batch = ModeScheduler(LEARNED, policy="learned")
         expected = [reference.submit(r) for r in requests]
         assert batch.submit_batch(requests) == expected
         assert reference.telemetry.snapshot() == batch.telemetry.snapshot()
@@ -239,7 +238,7 @@ class TestBatchDifferential:
         # A single operator's own slews always start at acquisition, so
         # a lone learned frame can never saturate the pool naturally --
         # force saturation at the Nth depth probe instead, identically
-        # for both engines (scalar and batch probe at the same non-free
+        # for the oracle and the kernel (both probe at the same non-free
         # switch decisions), and check the learned plan re-derives its
         # suffix from the forced static mode bit-identically.
         from repro.serve.scheduler import GeneratorPool
@@ -250,7 +249,7 @@ class TestBatchDifferential:
         ]
         real_queue_depth = GeneratorPool.queue_depth
         pair = []
-        for engine in ("scalar", "batch"):
+        for kind in (ScalarFrameScheduler, ModeScheduler):
             calls = {"n": 0}
 
             def fake_depth(pool, now_ns, _calls=calls):
@@ -260,9 +259,7 @@ class TestBatchDifferential:
                 return real_queue_depth(pool, now_ns)
 
             monkeypatch.setattr(GeneratorPool, "queue_depth", fake_depth)
-            scheduler = ModeScheduler(
-                LEARNED, policy="learned", engine=engine, num_generators=1
-            )
+            scheduler = kind(LEARNED, policy="learned", num_generators=1)
             pair.append((scheduler, scheduler.submit_batch(requests)))
         monkeypatch.setattr(GeneratorPool, "queue_depth", real_queue_depth)
         (scalar, scalar_phases), (batch, batch_phases) = pair
@@ -271,7 +268,7 @@ class TestBatchDifferential:
         assert scalar.telemetry.counters["degraded"] > 0
 
     def test_multi_operator_frame_falls_back_identically(self):
-        # >1 operator per frame: the batch engine must refuse the
+        # >1 operator per frame: the batch kernel must refuse the
         # learned fast path (occupancy is not provably zero) and serve
         # through the scalar loop -- results stay identical.
         requests = []
@@ -283,10 +280,8 @@ class TestBatchDifferential:
                 )
             )
         pair = []
-        for engine in ("scalar", "batch"):
-            scheduler = ModeScheduler(
-                LEARNED, policy="learned", engine=engine, num_generators=2
-            )
+        for kind in (ScalarFrameScheduler, ModeScheduler):
+            scheduler = kind(LEARNED, policy="learned", num_generators=2)
             pair.append((scheduler, scheduler.submit_batch(requests)))
         (scalar, scalar_phases), (batch, batch_phases) = pair
         assert scalar_phases == batch_phases
@@ -294,8 +289,8 @@ class TestBatchDifferential:
 
     def test_state_carries_across_frames(self):
         suite = suite_phases(seed=21)
-        scalar = ModeScheduler(LEARNED, policy="learned", engine="scalar")
-        batch = ModeScheduler(LEARNED, policy="learned", engine="batch")
+        scalar = ScalarFrameScheduler(LEARNED, policy="learned")
+        batch = ModeScheduler(LEARNED, policy="learned")
         for family in suite:
             requests = [
                 ServeRequest("op", p.required_bits, p.cycles)

@@ -1,4 +1,4 @@
-"""Mode-selection policies: accuracy invariant, registry, legacy shim."""
+"""Mode-selection policies: accuracy invariant, registry, decide contract."""
 
 import warnings
 
@@ -106,10 +106,17 @@ class TestRegistry:
             param.coerce("maybe")
 
 
-class _LegacySelectOnly(SelectionPolicy):
-    """A pre-redesign policy: overrides only positional select()."""
+def decide(policy, required_bits, current_bits=None, upcoming=()):
+    """One decision from positional arguments."""
+    return policy.decide(
+        PolicyContext(required_bits, current_bits, tuple(upcoming))
+    )
 
-    name = "_legacy_test_only"
+
+class _SelectOnly(SelectionPolicy):
+    """Overrides only a positional select(), which nothing calls."""
+
+    name = "_select_only_test_only"
 
     def select(self, required_bits, current_bits=None, upcoming=()):
         return self.table.mode_key_for(required_bits)
@@ -120,52 +127,28 @@ class _NeitherOverridden(SelectionPolicy):
 
 
 class TestLegacyShim:
-    def test_decide_adapts_onto_legacy_select(self):
-        legacy = _LegacySelectOnly(TABLE)
-        modern = GreedyPolicy(TABLE)
-        for bits in MODE_BITS:
-            ctx = PolicyContext(required_bits=bits, current_bits=8)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                assert legacy.decide(ctx) == modern.decide(ctx)
-
-    def test_legacy_select_warns_once_per_class(self):
-        from repro.serve import policy as policy_module
-
-        policy_module._LEGACY_WARNED.discard(_LegacySelectOnly)
-        legacy = _LegacySelectOnly(TABLE)
-        with pytest.warns(DeprecationWarning, match="legacy positional"):
-            legacy.decide(PolicyContext(required_bits=2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            legacy.decide(PolicyContext(required_bits=4))  # no second warn
-
     def test_modern_policy_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             GreedyPolicy(TABLE).decide(PolicyContext(required_bits=2))
 
     def test_overriding_neither_hook_raises(self):
-        with pytest.raises(TypeError, match="must override decide"):
-            _NeitherOverridden(TABLE).decide(PolicyContext(required_bits=2))
-
-    def test_select_entry_point_builds_context(self):
-        policy = HysteresisPolicy(TABLE, dwell_cycles=5)
-        assert policy.select(4, None) == policy.decide(
-            PolicyContext(required_bits=4)
-        )
+        # decide is abstract: a class without it fails at construction.
+        for cls in (_SelectOnly, _NeitherOverridden):
+            with pytest.raises(TypeError, match="abstract method decide"):
+                cls(TABLE)
 
 
 class TestGreedy:
     def test_picks_cheapest_sufficient(self):
         policy = GreedyPolicy(TABLE)
-        assert policy.select(2, None) == 2
-        assert policy.select(3, 2) == 4
-        assert policy.select(8, 2) == 8
+        assert decide(policy, 2, None) == 2
+        assert decide(policy, 3, 2) == 4
+        assert decide(policy, 8, 2) == 8
 
     def test_ignores_current_mode(self):
         policy = GreedyPolicy(TABLE)
-        assert policy.select(2, 8) == 2  # always downswitches
+        assert decide(policy, 2, 8) == 2  # always downswitches
 
 
 #: Same table with 1000x the well/rail capacitance: slew energies in the
@@ -178,18 +161,18 @@ EXPENSIVE = build_synthetic_table(
 class TestHysteresis:
     def test_upswitch_never_delayed(self):
         policy = HysteresisPolicy(EXPENSIVE, dwell_cycles=1)
-        assert policy.select(8, 2) == 8
+        assert decide(policy, 8, 2) == 8
 
     def test_short_dwell_refuses_downswitch(self):
         # 1 cycle at 1 GHz saves ~3 mW * 1 ns << the 8->2 slew energy.
         policy = HysteresisPolicy(EXPENSIVE, dwell_cycles=1, margin=1.0)
-        assert policy.select(2, 8) == 8
+        assert decide(policy, 2, 8) == 8
 
     def test_long_dwell_takes_downswitch(self):
         policy = HysteresisPolicy(
             EXPENSIVE, dwell_cycles=10_000_000, margin=1.0
         )
-        assert policy.select(2, 8) == 2
+        assert decide(policy, 2, 8) == 2
 
     def test_break_even_holds_current(self):
         """Exactly at the threshold the policy keeps the current mode."""
@@ -203,36 +186,34 @@ class TestHysteresis:
         policy = HysteresisPolicy(
             EXPENSIVE, dwell_cycles=int(break_even), margin=1.0
         )
-        assert policy.select(2, 8) == 8
+        assert decide(policy, 2, 8) == 8
 
     def test_cold_start_is_greedy(self):
         policy = HysteresisPolicy(EXPENSIVE, dwell_cycles=1)
-        assert policy.select(4, None) == 4
+        assert decide(policy, 4, None) == 4
 
 
 class TestLookahead:
     def test_empty_window_degenerates_to_greedy(self):
         policy = LookaheadPolicy(TABLE, window=0)
         for bits in MODE_BITS:
-            assert policy.select(bits, None) == GreedyPolicy(TABLE).select(
-                bits, None
-            )
+            assert decide(policy, bits) == decide(GreedyPolicy(TABLE), bits)
 
     def test_holds_covering_mode_across_a_blip(self):
         """A one-phase dip inside a high-accuracy run is not worth two
         well slews when the dip is short."""
         policy = LookaheadPolicy(EXPENSIVE, window=4)
         upcoming = ((8, 10), (8, 10), (8, 10), (8, 10))
-        assert policy.select(2, 8, upcoming) == 8
+        assert decide(policy, 2, 8, upcoming) == 8
 
     def test_switches_for_a_long_cheap_stretch(self):
         policy = LookaheadPolicy(EXPENSIVE, window=4)
         upcoming = ((2, 10_000_000),) * 4
-        assert policy.select(2, 8, upcoming) == 2
+        assert decide(policy, 2, 8, upcoming) == 2
 
     def test_never_below_requirement_even_when_holding(self):
         policy = LookaheadPolicy(TABLE, window=4)
-        choice = policy.select(6, 2, ((2, 10), (2, 10)))
+        choice = decide(policy, 6, 2, ((2, 10), (2, 10)))
         assert TABLE.modes[choice].active_bits >= 6
 
 

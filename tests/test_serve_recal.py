@@ -384,8 +384,6 @@ class TestScheduledRecalibration:
         env = excursion_env(0.0, 2_000.0, 60.0)
         batch, _, _ = make_guarded_scheduler(env)
         scalar, _, _ = make_guarded_scheduler(env)
-        batch.serve_engine = "batch"
-        scalar.serve_engine = "scalar"
         served_batch = batch.submit_batch(requests)
         served_scalar = [scalar.submit(r) for r in requests]
         assert served_batch == served_scalar
@@ -401,7 +399,7 @@ class TestScheduledRecalibration:
         guard = MarginGuard(TABLE)
         learner = MarginLearner(TABLE, readvance_probes=1)
         guard.attach_learner(learner)
-        scheduler = ModeScheduler(TABLE, guard=guard, engine="batch")
+        scheduler = ModeScheduler(TABLE, guard=guard)
         served = scheduler.submit_batch([ServeRequest("op", 2, 500)])
         assert served[0].served_bits == 2
         # Demote mode 2 (a peer's committed verdict arriving on the bus).

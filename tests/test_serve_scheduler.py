@@ -15,6 +15,7 @@ from repro.serve.scheduler import (
 )
 from repro.serve.table import compile_mode_table
 from tests.conftest import build_synthetic_table
+from tests.oracles.serve import replay_reference
 
 SETTINGS = ExplorationSettings(
     bitwidths=(2, 4, 6, 8), activity_cycles=12, activity_batch=12
@@ -38,7 +39,7 @@ def random_trace(rng, length):
 
 
 class TestDifferentialReplay:
-    """Greedy through the scheduler == the legacy closed-form accounting."""
+    """Greedy through the scheduler == the closed-form accounting oracle."""
 
     def test_thirty_random_traces_bit_identical(self, controller):
         table = controller.compiled()
@@ -46,7 +47,7 @@ class TestDifferentialReplay:
         for _ in range(30):
             trace = random_trace(rng, int(rng.integers(1, 40)))
             served = replay_trace(table, trace, policy="greedy")
-            oracle = controller.replay_reference(trace)
+            oracle = replay_reference(controller, trace)
             assert served.compute_energy_j == oracle.compute_energy_j
             assert served.transition_energy_j == oracle.transition_energy_j
             assert served.transition_time_ns == oracle.transition_time_ns
@@ -58,7 +59,9 @@ class TestDifferentialReplay:
     def test_controller_replay_is_the_scheduler(self, controller):
         rng = np.random.default_rng(7)
         trace = random_trace(rng, 25)
-        assert controller.replay(trace) == controller.replay_reference(trace)
+        assert replay_trace(controller.compiled(), trace) == replay_reference(
+            controller, trace
+        )
 
     def test_switches_counted_on_every_point_change(self, controller):
         """Satellite regression: a switch is the operating point changing,
@@ -69,7 +72,7 @@ class TestDifferentialReplay:
             WorkloadPhase(required_bits=2, cycles=1_000),
             WorkloadPhase(required_bits=8, cycles=1_000),
         ]
-        report = controller.replay(trace)
+        report = replay_trace(controller.compiled(), trace)
         distinct_points = [controller.mode_for(p.required_bits) for p in trace]
         expected = sum(
             1
@@ -77,15 +80,15 @@ class TestDifferentialReplay:
             if i == 0 or point != distinct_points[i - 1]
         )
         assert report.mode_switches == expected
-        assert report.mode_switches == controller.replay_reference(
-            trace
+        assert report.mode_switches == replay_reference(
+            controller, trace
         ).mode_switches
 
     def test_non_greedy_policies_reported_separately(self, controller):
         rng = np.random.default_rng(11)
         trace = random_trace(rng, 30)
         for policy in ("hysteresis", "lookahead"):
-            report = controller.replay(trace, policy=policy)
+            report = replay_trace(controller.compiled(), trace, policy=policy)
             assert report.phases == len(trace)
             assert report.total_energy_j > 0.0
 
@@ -229,7 +232,7 @@ class TestDegradation:
         class Liar(SelectionPolicy):
             name = "liar"
 
-            def select(self, required_bits, current_bits, upcoming=()):
+            def decide(self, ctx):
                 return 2  # always the cheapest mode, sufficient or not
 
         scheduler.register("op")

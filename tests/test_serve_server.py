@@ -58,6 +58,21 @@ class TestInProcessApi:
 
         run(body())
 
+    def test_uncoverable_request_fails_alone(self):
+        async def body():
+            async with make_server(max_pending=64) as server:
+                return await asyncio.gather(
+                    server.request("op", 4, 100),
+                    server.request("op", 16, 100),
+                    server.request("op", 6, 100),
+                    return_exceptions=True,
+                )
+
+        ok1, bad, ok2 = run(body())
+        assert ok1.served_bits >= 4
+        assert isinstance(bad, ValueError)
+        assert ok2.served_bits >= 6
+
     def test_overload_sheds_to_degraded_path(self):
         async def body():
             # One-slot queue and a slow drain: the second put finds the

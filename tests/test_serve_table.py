@@ -176,19 +176,6 @@ class TestRoundTrip:
         assert loaded.learned == result.spec
         assert loaded == table
 
-    def test_older_schema_without_learned_block_accepted(
-        self, synthetic_table
-    ):
-        # Schema bumped for the learned block; pre-bump artifacts must
-        # still load (learned absent, everything else intact).
-        payload = synthetic_table.to_dict()
-        payload["schema"] = MODE_TABLE_SCHEMA - 1
-        payload.pop("learned", None)
-        stream = io.StringIO(json.dumps(payload))
-        loaded = load_mode_table(stream)
-        assert loaded.learned is None
-        assert list(loaded.modes) == list(synthetic_table.modes)
-
     def test_version_mismatch_rejected(self, synthetic_table):
         payload = synthetic_table.to_dict()
         payload["schema"] = MODE_TABLE_SCHEMA + 1

@@ -2,7 +2,7 @@
 
 The contract under test: the compiled bit-packed engine of
 :mod:`repro.sim.packed` is *bit-identical* to the interpreted reference
-simulator on every API -- combinational evaluation, cycle-accurate
+simulator (:mod:`tests.oracles.sim`) on every API -- combinational evaluation, cycle-accurate
 traces, streaming toggle rates and memoized activity reports -- for any
 netlist it accepts, at any batch size (including non-multiples of the
 64-lane word).  Netlists are generated with hypothesis over the full
@@ -25,21 +25,18 @@ from repro.sim.activity import (
 )
 from repro.sim.packed import (
     PackedCompileError,
+    PackedEngine,
     lane_mask,
     pack_lanes,
     popcount_rows,
     unpack_lanes,
     words_for,
 )
-from repro.sim.simulator import (
-    ENGINE_ENV_VAR,
-    LogicSimulator,
-    SimulationMode,
-    resolve_engine_request,
-)
+from repro.sim.simulator import LogicSimulator, SimulationMode
 from repro.sim.vectors import random_words
 from repro.techlib.cells import CellTemplate
 from repro.techlib.library import Library
+from tests.oracles.sim import interpreted_engine, interpreted_simulator
 
 LIBRARY = Library()
 
@@ -111,9 +108,8 @@ def _stimulus(netlist, batch, rng):
 
 
 def _both_engines(netlist, mode):
-    interpreted = LogicSimulator(netlist, mode, engine="interpreted")
-    packed = LogicSimulator(netlist, mode, engine="packed")
-    assert interpreted.engine == "interpreted"
+    interpreted = interpreted_simulator(netlist, mode)
+    packed = LogicSimulator(netlist, mode)
     assert packed.engine == "packed"
     return interpreted, packed
 
@@ -223,9 +219,8 @@ class TestOperatorDifferential:
     def test_streaming_matches_collected_matrix(self, booth6):
         """The packed streaming accumulator equals the trace-matrix path
         run on the same packed engine (not just the interpreted one)."""
-        packed = LogicSimulator(
-            booth6, SimulationMode.CYCLE, engine="packed"
-        )
+        packed = LogicSimulator(booth6, SimulationMode.CYCLE)
+        assert packed.engine == "packed"
         rng = np.random.default_rng(5)
         stimulus = [_stimulus(booth6, 13, rng) for _ in range(6)]
         trace = packed.run_cycles(stimulus, collect_net_values=True)
@@ -239,18 +234,17 @@ class TestOperatorDifferential:
     def test_measure_activity_cross_engine(self, fir6, active_bits):
         """DVAS-gated activity reports are engine-independent, bit for bit."""
         clear_activity_cache()
-        reference = measure_activity(
-            fir6, active_bits, cycles=10, batch=13, engine="interpreted"
-        )
-        result = measure_activity(
-            fir6, active_bits, cycles=10, batch=13, engine="packed"
-        )
+        with interpreted_engine():
+            reference = measure_activity(fir6, active_bits, cycles=10, batch=13)
+        clear_activity_cache()
+        result = measure_activity(fir6, active_bits, cycles=10, batch=13)
+        assert result is not reference
         np.testing.assert_array_equal(result.rates, reference.rates)
         clear_activity_cache()
 
 
 # ---------------------------------------------------------------------------
-# Engine selection and fallback
+# Interpreted fallback
 # ---------------------------------------------------------------------------
 
 
@@ -275,30 +269,26 @@ def _netlist_with_unsupported_template():
 class TestEngineSelection:
     def test_auto_falls_back_on_unsupported_template(self):
         netlist = _netlist_with_unsupported_template()
-        simulator = LogicSimulator(
-            netlist, SimulationMode.TRANSPARENT, engine="auto"
-        )
+        simulator = LogicSimulator(netlist, SimulationMode.TRANSPARENT)
         assert simulator.engine == "interpreted"
         out = simulator.run_combinational({"A": np.array([0, 3, 5, 7])})
         np.testing.assert_array_equal(out["Y"], [0, 1, 1, 1])
 
-    def test_explicit_packed_raises_on_unsupported_template(self):
-        netlist = _netlist_with_unsupported_template()
-        with pytest.raises(PackedCompileError, match="MAJ3"):
-            LogicSimulator(netlist, SimulationMode.TRANSPARENT, engine="packed")
-
-    def test_env_var_selects_engine(self, monkeypatch):
-        netlist = booth_multiplier(LIBRARY, width=4, name="pk_env4")
-        monkeypatch.setenv(ENGINE_ENV_VAR, "interpreted")
-        assert LogicSimulator(netlist, SimulationMode.CYCLE).engine == (
-            "interpreted"
-        )
-        monkeypatch.setenv(ENGINE_ENV_VAR, "packed")
-        assert LogicSimulator(netlist, SimulationMode.CYCLE).engine == "packed"
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown simulation engine"):
-            resolve_engine_request("vectorized")
+        """No engine selector is left: the keyword does not exist."""
+        netlist = _tiny_netlist("XOR2")
+        with pytest.raises(TypeError, match="engine"):
+            LogicSimulator(netlist, SimulationMode.CYCLE, engine="packed")
+        with pytest.raises(TypeError, match="engine"):
+            measure_activity(netlist, 2, cycles=8, batch=16, engine="packed")
+
+    def test_explicit_packed_raises_on_unsupported_template(self):
+        """The packed compile itself refuses the template -- the error
+        the simulator's fallback catches."""
+        netlist = _netlist_with_unsupported_template()
+        order = netlist.topological_cells()
+        with pytest.raises(PackedCompileError, match="MAJ3"):
+            PackedEngine(netlist, order, True)
 
 
 # ---------------------------------------------------------------------------

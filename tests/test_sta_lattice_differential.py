@@ -9,12 +9,11 @@ are **bit-identical** (``==``, not ``allclose``) to looping the scalar
 Three layers of comparison, over Table 1 operators x bitwidths x VDD
 grid x case analyses:
 
-* kernel vs the engine's own ``analyze_pointwise`` reference loop;
+* kernel vs the pointwise reference loop of :mod:`tests.oracles.sta`;
 * kernel vs a hand-rolled scalar loop (guards the reference loop too);
-* full exploration under ``--sta-engine lattice`` vs ``pointwise``.
+* full exploration on the lattice kernel vs the same exploration with
+  the pointwise loop swapped into its feasibility filter.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from repro.sta.batch import all_bb_configs
 from repro.sta.caseanalysis import dvas_case
 from repro.sta.engine import StaEngine
 from repro.sta.lattice import LatticeStaEngine
+from tests.oracles.sta import analyze_pointwise, pointwise_exploration
 from tests.test_parallel_differential import assert_identical
 
 OPERATORS = ["booth", "butterfly", "fir"]
@@ -80,7 +80,9 @@ def test_lattice_matches_pointwise_reference(operator, vdd, designs):
     engine = lattice_engine(design)
     for label, case in cases_for(design).items():
         batched = engine.analyze(design.constraint, vdd, case=case)
-        reference = engine.analyze_pointwise(design.constraint, vdd, case=case)
+        reference = analyze_pointwise(
+            engine, design.constraint, vdd, case=case
+        )
         context = f"{operator} vdd={vdd} case={label}"
         assert batched.worst_slack_ps.shape == (2 ** design.num_domains,)
         assert np.array_equal(
@@ -98,9 +100,9 @@ def test_lattice_matches_pointwise_reference(operator, vdd, designs):
 def test_lattice_matches_hand_rolled_scalar_loop(operator, designs):
     """Both engine paths vs raw StaEngine.analyze, arrays included.
 
-    Guards ``analyze_pointwise`` itself: if the reference loop ever
-    drifted from the scalar engine, the kernel-vs-reference test alone
-    could pass vacuously.
+    Guards the ``analyze_pointwise`` oracle itself: if the reference
+    loop ever drifted from the scalar engine, the kernel-vs-reference
+    test alone could pass vacuously.
     """
     design = designs[operator]
     graph = design.timing_graph()
@@ -191,31 +193,16 @@ def test_config_subset_slices_match_full_lattice(designs):
 
 @pytest.mark.parametrize("operator", OPERATORS)
 def test_exploration_identical_across_sta_engines(operator, designs):
-    """Pareto frontiers and feasibility masks are bit-identical whichever
-    STA engine drives the exploration sweep."""
+    """Pareto frontiers and feasibility masks are bit-identical whether
+    the lattice kernel or the pointwise oracle drives the sweep."""
     settings = ExplorationSettings(
         bitwidths=(2, 4, 6),
         vdd_values=(1.0, 0.8, 0.6),
         activity_cycles=8,
         activity_batch=8,
-        sta_engine="lattice",
     )
     design = designs[operator]
     lattice = ExhaustiveExplorer(design).run(settings)
-    pointwise = ExhaustiveExplorer(design).run(
-        dataclasses.replace(settings, sta_engine="pointwise")
-    )
+    with pointwise_exploration():
+        pointwise = ExhaustiveExplorer(design).run(settings)
     assert_identical(lattice, pointwise)
-
-
-def test_auto_resolves_to_lattice_numbers(designs, monkeypatch):
-    monkeypatch.delenv("REPRO_STA_ENGINE", raising=False)
-    settings = ExplorationSettings(
-        bitwidths=(4,), vdd_values=(0.8,), activity_cycles=8, activity_batch=8
-    )
-    design = designs["fir"]
-    auto = ExhaustiveExplorer(design).run(settings)
-    explicit = ExhaustiveExplorer(design).run(
-        dataclasses.replace(settings, sta_engine="lattice")
-    )
-    assert_identical(auto, explicit)

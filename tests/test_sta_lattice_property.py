@@ -14,22 +14,15 @@ lattice pass must satisfy no matter the graph:
   permuting input rows permutes every output row identically;
 * **NMAX = 0 degeneracy** -- a domainless design collapses to the
   scalar sweep at the NoBB corner.
-
-Plus direct unit tests of :func:`resolve_sta_engine`'s env handling.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sta.constraints import ClockConstraint
 from repro.sta.engine import NEG_INF, POS_INF, StaEngine
 from repro.sta.graph import TimingGraph
-from repro.sta.lattice import (
-    STA_ENGINE_ENV_VAR,
-    LatticeStaEngine,
-    resolve_sta_engine,
-)
+from repro.sta.lattice import LatticeStaEngine
 from repro.sta.sweep import compile_schedule
 from repro.techlib.library import Library
 
@@ -237,35 +230,3 @@ def test_orphan_endpoints_masked_not_poisoned(case):
     for k in np.nonzero(finite)[0]:
         arrivals = result.arrival_ps[k, graph.endpoint_nets]
         assert np.any(arrivals > NEG_INF / 2)
-
-
-class TestResolveStaEngine:
-    def test_explicit_requests(self, monkeypatch):
-        monkeypatch.delenv(STA_ENGINE_ENV_VAR, raising=False)
-        assert resolve_sta_engine("lattice") == "lattice"
-        assert resolve_sta_engine("pointwise") == "pointwise"
-        assert resolve_sta_engine("auto") == "lattice"
-        assert resolve_sta_engine(None) == "lattice"
-
-    def test_env_steers_auto_only(self, monkeypatch):
-        monkeypatch.setenv(STA_ENGINE_ENV_VAR, "pointwise")
-        assert resolve_sta_engine("auto") == "pointwise"
-        assert resolve_sta_engine(None) == "pointwise"
-        # Explicit requests win over the environment.
-        assert resolve_sta_engine("lattice") == "lattice"
-
-    def test_empty_env_means_auto(self, monkeypatch):
-        monkeypatch.setenv(STA_ENGINE_ENV_VAR, "")
-        assert resolve_sta_engine("auto") == "lattice"
-
-    def test_invalid_request_rejected(self, monkeypatch):
-        monkeypatch.delenv(STA_ENGINE_ENV_VAR, raising=False)
-        with pytest.raises(ValueError, match="unknown STA engine"):
-            resolve_sta_engine("warp")
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(STA_ENGINE_ENV_VAR, "warp")
-        with pytest.raises(ValueError, match=STA_ENGINE_ENV_VAR):
-            resolve_sta_engine("auto")
-        # ...but never breaks explicit requests.
-        assert resolve_sta_engine("pointwise") == "pointwise"

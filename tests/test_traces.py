@@ -117,13 +117,6 @@ class TestArtifact:
         trace.save(path)
         assert load_trace_file(path) == trace.to_phases()
 
-    def test_load_trace_file_reads_legacy_list(self, tmp_path):
-        path = tmp_path / "legacy.json"
-        path.write_text(
-            json.dumps([{"bits": 4, "cycles": 100}, {"bits": 8, "cycles": 5}])
-        )
-        assert load_trace_file(path) == [(4, 100), (8, 5)]
-
     def test_load_trace_file_rejects_garbage(self, tmp_path):
         bad_json = tmp_path / "bad.json"
         bad_json.write_text("{not json")
@@ -133,13 +126,13 @@ class TestArtifact:
         bad_kind.write_text(json.dumps({"kind": "other", "schema": 1}))
         with pytest.raises(TraceError, match="not a workload trace"):
             load_trace_file(bad_kind)
-        bad_list = tmp_path / "list.json"
-        bad_list.write_text(json.dumps([{"bits": 4}]))
-        with pytest.raises(TraceError, match="legacy trace list"):
-            load_trace_file(bad_list)
+        old_list = tmp_path / "list.json"
+        old_list.write_text(json.dumps([{"bits": 4, "cycles": 100}]))
+        with pytest.raises(TraceError, match="must be a JSON object"):
+            load_trace_file(old_list)
         scalar = tmp_path / "scalar.json"
         scalar.write_text("3")
-        with pytest.raises(TraceError, match="trace object or a legacy"):
+        with pytest.raises(TraceError, match="must be a JSON object"):
             load_trace_file(scalar)
 
     def test_future_schema_rejected(self):
