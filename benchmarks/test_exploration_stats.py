@@ -9,10 +9,8 @@ and measures our engine's throughput.
 
 import time
 
-import numpy as np
-
-from repro.sta.batch import BatchStaEngine, all_bb_configs
 from repro.sta.caseanalysis import dvas_case
+from repro.sta.lattice import LatticeStaEngine
 
 
 def test_exploration_statistics(benchmark, bundles, settings):
@@ -48,7 +46,7 @@ def test_exploration_statistics(benchmark, bundles, settings):
     # Per-point STA cost: the paper quotes ~0.1 s per netlist in
     # PrimeTime; our batched engine amortizes far below that.
     graph = design.timing_graph()
-    engine = BatchStaEngine(
+    engine = LatticeStaEngine(
         graph, design.netlist.library, design.domains, design.num_domains
     )
     case = dvas_case(design.netlist, max(settings.bitwidths) // 2)
@@ -57,7 +55,7 @@ def test_exploration_statistics(benchmark, bundles, settings):
     elapsed = time.perf_counter() - start
     per_point_ms = elapsed / num_configs * 1e3
     print(
-        f"batched STA: {elapsed * 1e3:.1f} ms for {num_configs} configs "
+        f"lattice STA: {elapsed * 1e3:.1f} ms for {num_configs} configs "
         f"({per_point_ms:.3f} ms/config; paper: ~100 ms/config)"
     )
     assert per_point_ms < 100.0

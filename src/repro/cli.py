@@ -54,6 +54,7 @@ from repro.core.flow import (
     select_clock_for,
 )
 from repro.core.report import format_pareto_table, format_savings
+from repro.faults.chaos import chaos_requests
 from repro.operators import (
     adequate_adder,
     booth_multiplier,
@@ -255,13 +256,17 @@ def _implement_for(args):
 def cmd_compile_table(args) -> int:
     from repro.core.runtime import BiasGeneratorModel
     from repro.io.results import load_exploration, save_mode_table
+    from repro.serve.errors import ServeError
     from repro.serve.table import compile_mode_table
 
     design = _implement_for(args)
     print(design.describe())
     if args.exploration:
-        with open(args.exploration) as stream:
-            result = load_exploration(stream)
+        try:
+            with open(args.exploration) as stream:
+                result = load_exploration(stream)
+        except ValueError as error:
+            raise ServeError(str(error)) from None
         if result.design_name.split("_")[0] not in design.netlist.name:
             print(
                 f"warning: exploration was run on {result.design_name!r}, "
@@ -288,19 +293,6 @@ def _load_table(path):
 
     with open(path) as stream:
         return load_mode_table(stream)
-
-
-def _soak_requests(table, count, seed):
-    """Deterministic request mix over three operator instances."""
-    rng = np.random.default_rng(seed)
-    bitwidths = table.bitwidths
-    operators = ("op0", "op1", "op2")
-    for index in range(count):
-        yield (
-            operators[index % len(operators)],
-            int(rng.choice(bitwidths)),
-            int(rng.integers(1_000, 20_000)),
-        )
 
 
 def _policy_kwargs(args):
@@ -415,7 +407,7 @@ def cmd_serve(args) -> int:
                 ]
             else:
                 everything = list(
-                    _soak_requests(table, args.soak, args.seed)
+                    chaos_requests(table, 3, args.soak, args.seed)
                 )
             shard = max(1, len(everything) // args.clients)
             await asyncio.gather(
@@ -462,18 +454,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _fleet_soak_requests(table, num_operators, count, seed):
-    """Deterministic request mix over *num_operators* instances."""
-    rng = np.random.default_rng(seed)
-    bitwidths = table.bitwidths
-    for index in range(count):
-        yield (
-            f"op{index % num_operators}",
-            int(rng.choice(bitwidths)),
-            int(rng.integers(1_000, 20_000)),
-        )
-
-
 def cmd_fleet_serve(args) -> int:
     import json as json_module
 
@@ -502,7 +482,7 @@ def cmd_fleet_serve(args) -> int:
         ]
     else:
         trace = list(
-            _fleet_soak_requests(table, args.operators, args.soak, args.seed)
+            chaos_requests(table, args.operators, args.soak, args.seed)
         )
     violations = 0
     with router:
@@ -686,10 +666,10 @@ def cmd_chaos(args) -> int:
             seed=args.seed,
         )
     else:
+        # generate() targets 2 generators: the soak scheduler's pool.
         schedule = FaultSchedule.generate(
             args.seed,
             horizon_ns=args.horizon_ns,
-            num_generators=args.generators,
             num_shards=len(settings.bitwidths),
             intensity=args.intensity,
         )
@@ -1050,7 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--operators", type=int, default=3)
     p.add_argument("--requests", type=int, default=96)
-    p.add_argument("--generators", type=int, default=2)
     p.add_argument(
         "--margin-samples",
         type=int,

@@ -25,9 +25,8 @@ from repro.core.config import ExplorationSettings, OperatingPoint
 from repro.core.flow import ImplementedDesign
 from repro.power.analysis import PowerAnalyzer
 from repro.sim.activity import ActivityReport, measure_activity
-from repro.sta.batch import all_bb_configs
 from repro.sta.caseanalysis import dvas_case
-from repro.sta.lattice import LatticeStaEngine
+from repro.sta.lattice import LatticeStaEngine, all_bb_configs
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,17 @@ with three states: reverse back bias is useless for speed but slashes the
 leakage of domains whose logic a given accuracy mode has deactivated.
 
 The exploration cost grows from 2^NMAX to 3^NMAX configurations per
-(bitwidth, VDD) point; the batched STA sweep evaluates them in chunks, so
-a 3x3 grid (3^9 = 19 683 configs) stays tractable.
+(bitwidth, VDD) point; the two-state exploration's lattice STA kernel
+sweeps them in slices of :data:`LATTICE_CHUNK` under explicit per-cell
+delay factors, so a 3x3 grid (3^9 = 19 683 configs) stays tractable and
+NoBB/FBB-only configurations get exactly their two-state slack.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,11 +25,16 @@ from repro.core.config import ExplorationSettings
 from repro.core.flow import ImplementedDesign
 from repro.power.analysis import PowerAnalyzer
 from repro.sim.activity import measure_activity
-from repro.sta.batch import BatchStaEngine, all_state_configs
-from repro.sta.caseanalysis import dvas_case
+from repro.sta.caseanalysis import CaseAnalysis, dvas_case
+from repro.sta.lattice import LatticeStaEngine, all_state_configs
+from repro.techlib.library import Corner
 
 #: State order used throughout: index 0 = RBB, 1 = NoBB, 2 = FBB.
 STATE_NAMES = ("RBB", "NoBB", "FBB")
+
+#: Configurations per lattice pass; bounds the (nets, combos) arrival
+#: matrix (a booth16 3x3 knob point ran ~2x faster at 256 than at 2048).
+LATTICE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -88,14 +95,42 @@ class TriStateExplorer:
                 "raise max_configs"
             )
         self.design = design
-        self.graph = design.timing_graph()
         self.library = design.netlist.library
-        self.batch_engine = BatchStaEngine(
-            self.graph, self.library, design.domains, design.num_domains
+        self.lattice_engine = LatticeStaEngine(
+            design.timing_graph(), self.library, design.domains,
+            design.num_domains,
         )
         self.power = PowerAnalyzer(design.netlist, design.parasitics)
         fbb = self.library.process.fbb_voltage
         self.state_vbbs = (-fbb, 0.0, fbb)
+
+    def worst_slacks(
+        self, configs: np.ndarray, vdd: float, case: Optional[CaseAnalysis]
+    ) -> np.ndarray:
+        """Worst setup slack of every state configuration at one VDD.
+
+        *configs* holds per-domain indices into :attr:`state_vbbs`.  A
+        corner that cannot switch at *vdd* (RBB at 0.6 V) has an
+        infinite delay factor, so a configuration with an active path
+        through such a domain reads -inf: infeasible.
+        """
+        design = self.design
+        state_factors = np.asarray(
+            [
+                self.library.delay_factor(Corner(vdd, vbb))
+                for vbb in self.state_vbbs
+            ]
+        )
+        worst = np.empty(len(configs))
+        for lo in range(0, len(configs), LATTICE_CHUNK):
+            block = configs[lo:lo + LATTICE_CHUNK]
+            worst[lo:lo + len(block)] = self.lattice_engine.analyze_factors(
+                design.constraint,
+                state_factors[block[:, design.domains]],
+                vdd=vdd,
+                case=case,
+            ).worst_slack_ps
+        return worst
 
     def run(
         self, settings: ExplorationSettings = ExplorationSettings()
@@ -118,12 +153,9 @@ class TriStateExplorer:
                 seed=settings.seed,
             )
             for vdd in settings.vdd_values:
-                result = self.batch_engine.analyze_states(
-                    design.constraint, vdd, configs, self.state_vbbs,
-                    case=case,
-                )
+                slack = self.worst_slacks(configs, vdd, case)
                 evaluated += len(config_tuples)
-                feasible = result.feasible
+                feasible = slack >= 0.0
                 count = int(np.count_nonzero(feasible))
                 feasible_total += count
                 if count == 0:
@@ -143,7 +175,7 @@ class TriStateExplorer:
                     total_power_w=float(totals[winner]),
                     dynamic_power_w=dynamic,
                     leakage_power_w=float(leak[winner]),
-                    worst_slack_ps=float(result.worst_slack_ps[winner]),
+                    worst_slack_ps=float(slack[winner]),
                 )
                 incumbent = best.get(bits)
                 if (

@@ -126,17 +126,14 @@ def run_serve_chaos(
     num_operators: int = 3,
     requests: int = 96,
     seed: int = 7,
-    policy: str = "greedy",
-    num_generators: int = 2,
-    headroom_ps: float = 0.0,
     recalibrate: bool = False,
     recal_interval_ns: Optional[float] = None,
-    recal_bias_ps: float = 2.0,
-    readvance_probes: int = 3,
     retreat_only: bool = False,
 ) -> ServeChaosReport:
     """Soak a margin-guarded scheduler against *schedule*, then audit it.
 
+    The scheduler, guard and recalibration loop keep their default
+    policy, 2-generator pool, headroom and learner settings.
     ``recalibrate=True`` attaches a canary-probe recalibration loop
     (:mod:`repro.serve.recal`) so the guard re-advances as margins
     recover; ``retreat_only=True`` runs the pessimistic baseline whose
@@ -159,30 +156,13 @@ def run_serve_chaos(
             "recalibrate and retreat_only are mutually exclusive"
         )
     environment = SiliconEnvironment(schedule)
-    guard = MarginGuard(
-        table,
-        environment,
-        headroom_ps=headroom_ps,
-        retreat_only=retreat_only,
-    )
+    guard = MarginGuard(table, environment, retreat_only=retreat_only)
     recal = None
     if recalibrate:
         if recal_interval_ns is None:
             recal_interval_ns = max(schedule.horizon_ns, 1.0) / 32.0
-        recal = RecalibrationLoop(
-            guard,
-            recal_interval_ns,
-            bias_ps=recal_bias_ps,
-            readvance_probes=readvance_probes,
-            seed=seed,
-        )
-    scheduler = ModeScheduler(
-        table,
-        num_generators=num_generators,
-        policy=policy,
-        guard=guard,
-        recal=recal,
-    )
+        recal = RecalibrationLoop(guard, recal_interval_ns, seed=seed)
+    scheduler = ModeScheduler(table, guard=guard, recal=recal)
     report = ServeChaosReport()
     served_log = []
     energy_j = 0.0
@@ -204,9 +184,7 @@ def run_serve_chaos(
     # *fresh* stateless guard: the oracle for "was this mode actually
     # safe at that instant", independent of any learner or latch state
     # the serving guard has accumulated since.
-    oracle = MarginGuard(
-        table, SiliconEnvironment(schedule), headroom_ps=headroom_ps
-    )
+    oracle = MarginGuard(table, SiliconEnvironment(schedule))
     for served in served_log:
         if served.served_bits < served.required_bits:
             report.accuracy_violations += 1
@@ -326,12 +304,7 @@ def run_recal_chaos(
     num_operators: int = 3,
     requests: int = 96,
     seed: int = 7,
-    policy: str = "greedy",
-    num_generators: int = 2,
-    headroom_ps: float = 0.0,
     recal_interval_ns: Optional[float] = None,
-    recal_bias_ps: float = 2.0,
-    readvance_probes: int = 3,
 ) -> RecalChaosReport:
     """Race the retreat-only guard against the recalibrating one.
 
@@ -339,14 +312,7 @@ def run_recal_chaos(
     guard's margin source.  The reclaimed-energy fraction charges the
     recalibrating run for its own canary probes.
     """
-    common = dict(
-        num_operators=num_operators,
-        requests=requests,
-        seed=seed,
-        policy=policy,
-        num_generators=num_generators,
-        headroom_ps=headroom_ps,
-    )
+    common = dict(num_operators=num_operators, requests=requests, seed=seed)
     baseline = run_serve_chaos(
         table, schedule, retreat_only=True, **common
     )
@@ -355,8 +321,6 @@ def run_recal_chaos(
         schedule,
         recalibrate=True,
         recal_interval_ns=recal_interval_ns,
-        recal_bias_ps=recal_bias_ps,
-        readvance_probes=readvance_probes,
         **common,
     )
     reclaimed = baseline.energy_j - recal.energy_j
@@ -370,6 +334,10 @@ def run_recal_chaos(
 
 
 # -- fleet-side soak ---------------------------------------------------------
+
+#: Requests per ``FleetRouter.submit_many`` call in the fleet soak; a
+#: scheduled worker kill lands between two such submissions.
+FLEET_SOAK_CHUNK = 256
 
 
 @dataclass
@@ -461,17 +429,15 @@ def run_fleet_chaos(
     num_operators: int = 8,
     requests: int = 1024,
     seed: int = 7,
-    policy: str = "greedy",
-    batch_window: int = 16,
-    retreat_budget: int = 32,
-    chunk: int = 256,
     recal_interval_ns: float = 0.0,
 ) -> FleetChaosReport:
     """Soak a fleet against *schedule* injected on worker 0, then audit.
 
     Worker-crash events in the schedule kill one fleet worker process
     mid-soak (never worker 0, which carries the silicon injection), so
-    one run exercises degradation propagation *and* failover.
+    one run exercises degradation propagation *and* failover.  The
+    router runs its default policy, batch window and retreat budget;
+    requests go out in :data:`FLEET_SOAK_CHUNK`-request submissions.
     """
     from repro.fleet import FleetRouter
     from repro.serve.table import ModeTable
@@ -489,9 +455,6 @@ def run_fleet_chaos(
     router = FleetRouter(
         table,
         workers=workers,
-        policy=policy,
-        batch_window=batch_window,
-        retreat_budget=retreat_budget,
         guard=True,
         schedules={0: schedule.to_dict()},
         max_queue_depth=requests + 1,
@@ -518,15 +481,17 @@ def run_fleet_chaos(
             victim = candidates[
                 max(0, crash_events[0].target) % len(candidates)
             ]
-        for offset in range(0, len(trace), chunk):
-            if victim is not None and offset + chunk > kill_at:
+        for offset in range(0, len(trace), FLEET_SOAK_CHUNK):
+            if victim is not None and offset + FLEET_SOAK_CHUNK > kill_at:
                 handle = router._workers.get(victim)
                 if handle is not None:
                     handle.process.kill()
                     handle.process.join()
                     report.workers_killed += 1
                 victim = None
-            phases.extend(router.submit_many(trace[offset : offset + chunk]))
+            phases.extend(
+                router.submit_many(trace[offset : offset + FLEET_SOAK_CHUNK])
+            )
         stats = router.stats()
     except Exception as error:  # the soak's "stays up" criterion
         report.error = f"{type(error).__name__}: {error}"

@@ -8,8 +8,9 @@ want to load them without re-running the flow.  Two artifacts live here:
 * the compiled :class:`repro.serve.table.ModeTable` the serving
   subsystem consumes (`repro compile-table` / `repro serve`).
 
-Both JSON schemas are versioned; loaders reject a mismatched version with
-a clear error instead of guessing.
+Both JSON documents name their ``kind`` and carry a schema version;
+loaders reject another artifact or a mismatched version with a clear
+error instead of guessing.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from repro.core.config import ExplorationSettings, OperatingPoint
 from repro.core.exploration import ExplorationResult
 
 SCHEMA_VERSION = 1
+
+#: The ``kind`` every serialized exploration result carries.
+EXPLORATION_KIND = "repro-exploration"
 
 
 def _point_to_dict(point: OperatingPoint) -> Dict:
@@ -35,6 +39,7 @@ def save_exploration(result: ExplorationResult, stream: TextIO) -> None:
     """Serialize an exploration result (mode tables + statistics) as JSON."""
     payload = {
         "schema": SCHEMA_VERSION,
+        "kind": EXPLORATION_KIND,
         "design_name": result.design_name,
         "num_domains": result.num_domains,
         "points_evaluated": result.points_evaluated,
@@ -64,8 +69,25 @@ def save_exploration(result: ExplorationResult, stream: TextIO) -> None:
 
 
 def load_exploration(stream: TextIO) -> ExplorationResult:
-    """Load an exploration result saved by :func:`save_exploration`."""
-    payload = json.load(stream)
+    """Load an exploration result saved by :func:`save_exploration`.
+
+    Another artifact (a mode table, a workload trace) is rejected by its
+    ``kind``; files written before the ``kind`` field existed still load.
+    """
+    try:
+        payload = json.load(stream)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"exploration file is not valid JSON ({exc}); write one with "
+            "`repro explore --output FILE`"
+        ) from exc
+    is_object = isinstance(payload, dict)
+    kind = payload.get("kind", EXPLORATION_KIND) if is_object else None
+    if kind != EXPLORATION_KIND:
+        raise ValueError(
+            f"not an exploration result (kind={kind!r}); write one with "
+            "`repro explore --output FILE`"
+        )
     if payload.get("schema") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported exploration schema {payload.get('schema')!r} "

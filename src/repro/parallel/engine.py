@@ -42,7 +42,7 @@ from repro.parallel.fingerprint import (
     shard_key,
 )
 from repro.parallel.shards import Shard, plan_shards
-from repro.sta.batch import all_bb_configs
+from repro.sta.lattice import all_bb_configs
 
 #: Environment override for auto-detected worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -383,6 +383,8 @@ class ParallelExplorer:
                     fault_stats.shard_timeouts += 1
                     break
                 for future in done:
+                    if _INTERRUPT.is_set():  # one wait() may return several
+                        raise SweepInterrupted(done_before + done_count, total)
                     shard, key, _attempt = futures[future]
                     shard_cells = future.result()
                     self._complete(shard, key, shard_cells, cache, stats, cells)

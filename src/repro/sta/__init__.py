@@ -7,18 +7,16 @@ The netlist is compiled once into a flat arc-level timing graph
 * :mod:`caseanalysis` -- constant propagation of zeroed input LSBs (through
   sequential elements, to a fixpoint) deactivates timing paths, which is
   how reduced accuracy buys timing slack;
-* :mod:`batch` -- one levelized sweep evaluates *all* 2^NMAX back-bias
-  assignments of a partitioned design simultaneously, which is what makes
-  the paper's exhaustive exploration cheap;
-* :mod:`lattice` -- the float64 whole-lattice kernel behind the
-  exploration's feasibility filter: (combos, nets) arrival and
-  required tensors, per-combo WNS / critical-endpoint / feasibility in
-  one pass, bit-identical to looping the scalar engine.
+* :mod:`lattice` -- one levelized float64 sweep evaluates *all*
+  2^NMAX back-bias assignments of a partitioned design at once (or any
+  per-cell delay factors, e.g. the {RBB, NoBB, FBB} extension), which
+  is what makes the paper's exhaustive exploration cheap: (combos,
+  nets) arrival and required tensors, per-combo WNS / critical-endpoint
+  / feasibility in one pass, bit-identical to looping the scalar engine.
 """
 
 from repro.sta.graph import TimingGraph, compile_timing_graph
 from repro.sta.engine import StaEngine, TimingReport
-from repro.sta.batch import BatchStaEngine
 from repro.sta.lattice import LatticeStaEngine, LatticeTimingResult
 from repro.sta.caseanalysis import (
     CaseAnalysis,
@@ -36,7 +34,6 @@ __all__ = [
     "compile_timing_graph",
     "StaEngine",
     "TimingReport",
-    "BatchStaEngine",
     "LatticeStaEngine",
     "LatticeTimingResult",
     "CaseAnalysis",

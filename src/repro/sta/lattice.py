@@ -10,14 +10,16 @@ matrices with the BB combination stacked on a leading axis, the per-arc
 delay broadcasts as a ``(combos, arcs-in-level)`` block, and the
 infeasibility filter collapses to one masked reduction per knob point.
 
-Unlike the float32 throughput engine in :mod:`repro.sta.batch`, this
-kernel computes in float64 with exactly the scalar engine's operations
-(same multiplies, same exact max/min reductions, same POS_INF masking),
-so its per-combo WNS, feasibility mask and critical-endpoint ids are
-**bit-identical** to looping :meth:`repro.sta.engine.StaEngine.analyze`
-over the combinations -- the differential and hypothesis suites hold it
-to that.  It also runs the backward (required-time) sweep on the same
-lattice axis, which no previous batched path offered.
+The kernel computes in float64 with exactly the scalar engine's
+operations (same multiplies, same exact max/min reductions, same
+POS_INF masking), so its per-combo WNS, feasibility mask and
+critical-endpoint ids are **bit-identical** to looping
+:meth:`repro.sta.engine.StaEngine.analyze` over the combinations -- the
+differential and hypothesis suites hold it to that.  It also runs the
+backward (required-time) sweep on the same lattice axis.
+:meth:`LatticeStaEngine.analyze_factors` takes arbitrary per-(combo,
+cell) delay factors, which is how the multi-Vth extension
+(:mod:`repro.core.tristate`) sweeps {RBB, NoBB, FBB} assignments.
 """
 
 from __future__ import annotations
@@ -38,6 +40,40 @@ from repro.techlib.library import Library
 #: shard-cache fingerprint embeds it so stale entries miss instead of
 #: being served to a differently-shaped run.
 LATTICE_SCHEMA = 1
+
+
+def all_state_configs(num_domains: int, num_states: int) -> np.ndarray:
+    """All num_states^num_domains assignment vectors, shape (K, domains).
+
+    Entry (k, d) is the state index of domain *d* in configuration *k*;
+    row 0 assigns state 0 everywhere, the last row the top state.  Used by
+    the multi-Vth extension (e.g. {RBB, NoBB, FBB} -> num_states = 3).
+    """
+    if num_domains < 0:
+        raise ValueError("num_domains must be non-negative")
+    if num_states < 1:
+        raise ValueError("need at least one state")
+    count = num_states**num_domains
+    codes = np.arange(count, dtype=np.int64)
+    configs = np.empty((count, num_domains), dtype=np.int64)
+    for domain in range(num_domains):
+        configs[:, domain] = codes % num_states
+        codes = codes // num_states
+    return configs
+
+
+def all_bb_configs(num_domains: int) -> np.ndarray:
+    """All 2^num_domains FBB assignment vectors, shape (K, num_domains).
+
+    Row k is the binary expansion of k: domain d is FBB iff bit d of k is
+    set.  Row 0 is therefore all-NoBB and row K-1 all-FBB.
+    """
+    if num_domains < 0:
+        raise ValueError("num_domains must be non-negative")
+    count = 1 << num_domains
+    codes = np.arange(count, dtype=np.int64)
+    bits = np.arange(num_domains, dtype=np.int64)
+    return ((codes[:, None] >> bits) & 1).astype(bool)
 
 
 # -- lattice-layout sweep kernels -------------------------------------------
@@ -308,8 +344,6 @@ class LatticeStaEngine:
         runs the backward sweep, yielding the ``(combos, nets)`` required
         matrix; ``keep_arrays`` retains arrival/required on the result.
         """
-        from repro.sta.batch import all_bb_configs
-
         if configs is None:
             configs = all_bb_configs(self.num_domains)
         configs = np.asarray(configs, dtype=bool)
@@ -472,8 +506,6 @@ class LatticeStaEngine:
 
         Returns one :class:`LatticeTimingResult` per VDD, in order.
         """
-        from repro.sta.batch import all_bb_configs
-
         if configs is None:
             configs = all_bb_configs(self.num_domains)
         configs = np.asarray(configs, dtype=bool)

@@ -1,14 +1,16 @@
 """Shared levelized sweep kernels for every STA engine.
 
 All analyzers -- single-configuration setup (:mod:`repro.sta.engine`),
-batched setup over back-bias configurations (:mod:`repro.sta.batch`) and
-hold (:mod:`repro.sta.hold`) -- run the same schedule: seed launch-point
-arrivals, propagate along timing arcs level by level, reduce per
-endpoint.  Historically each engine carried its own copy of the
-propagation loop built on ``np.maximum.at`` / ``np.minimum.at``
-scatters; this module owns the single implementation, expressed as
-``ufunc.reduceat`` segment reductions over per-level arc runs pre-sorted
-by sink (forward) or source (backward) net.
+hold (:mod:`repro.sta.hold`) and the whole-lattice setup sweep over
+back-bias configurations (:mod:`repro.sta.lattice`) -- run the same
+levelized schedule: seed launch-point arrivals, propagate along timing
+arcs level by level, reduce per endpoint.  Historically each engine
+carried its own copy of the propagation loop built on
+``np.maximum.at`` / ``np.minimum.at`` scatters; this module owns the
+schedule and the 1-D kernels, expressed as ``ufunc.reduceat`` segment
+reductions over per-level arc runs pre-sorted by sink (forward) or
+source (backward) net.  The lattice compiles the same levels into
+padded index blocks for its 2-D ``(nets, combos)`` matrices.
 
 ``reduceat`` beats the ``.at`` scatter because the segments are
 contiguous: numpy reduces each run with a tight inner loop and lands the

@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 from repro.core.exploration import ExhaustiveExplorer
-from repro.sta.batch import all_bb_configs
 from repro.sta.caseanalysis import CaseAnalysis
 from repro.sta.constraints import ClockConstraint
 from repro.sta.engine import StaEngine
-from repro.sta.lattice import LatticeStaEngine, LatticeTimingResult
+from repro.sta.lattice import (
+    LatticeStaEngine,
+    LatticeTimingResult,
+    all_bb_configs,
+)
 
 
 def analyze_pointwise(

@@ -33,7 +33,7 @@ from repro.parallel.fingerprint import (
 )
 from repro.parallel.shards import Shard, plan_shards
 from repro.pnr.grid import GridPartition
-from repro.sta.batch import all_bb_configs
+from repro.sta.lattice import all_bb_configs
 
 SETTINGS = ExplorationSettings(
     bitwidths=(2, 4), activity_cycles=8, activity_batch=8
@@ -110,7 +110,7 @@ class TestKeyStability:
             "from repro.parallel.fingerprint import ("
             "configs_fingerprint, design_fingerprint, shard_key)\n"
             "from repro.parallel.shards import plan_shards\n"
-            "from repro.sta.batch import all_bb_configs\n"
+            "from repro.sta.lattice import all_bb_configs\n"
             "settings = ExplorationSettings("
             "bitwidths=(2, 4), activity_cycles=8, activity_batch=8)\n"
             "print(shard_key(design_fingerprint(design), settings,"

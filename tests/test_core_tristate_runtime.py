@@ -12,7 +12,9 @@ from repro.core.runtime import (
 )
 from repro.core.tristate import STATE_NAMES, TriStateExplorer
 from repro.serve.scheduler import replay_trace
-from repro.sta.batch import all_state_configs
+from repro.sta.caseanalysis import dvas_case
+from repro.sta.lattice import all_bb_configs, all_state_configs
+from repro.techlib.library import Corner
 from tests.oracles.serve import replay_reference
 
 SETTINGS = ExplorationSettings(
@@ -38,8 +40,6 @@ class TestAllStateConfigs:
         assert configs.min() == 0 and configs.max() == 2
 
     def test_two_state_matches_bb_configs(self):
-        from repro.sta.batch import all_bb_configs
-
         general = all_state_configs(4, 2)
         classic = all_bb_configs(4).astype(np.int64)
         assert np.array_equal(general, classic)
@@ -59,7 +59,37 @@ class TestTriState:
             p3 = three_state.best_per_bitwidth.get(bits)
             assert p3 is not None
             if p2 is not None:
-                assert p3.total_power_w <= p2.total_power_w * 1.0001
+                assert p3.total_power_w <= p2.total_power_w
+
+    def test_nobb_fbb_configs_time_like_two_state(self, booth8_domained):
+        """Configs using only NoBB and FBB get their two-state lattice
+        slack exactly: both explorations run the same float64 kernel."""
+        explorer = TriStateExplorer(booth8_domained)
+        configs = all_state_configs(booth8_domained.num_domains, 3)
+        two_state_rows = np.all(configs > 0, axis=1)
+        fbb = configs[two_state_rows] == 2
+        for bits in SETTINGS.bitwidths:
+            case = dvas_case(booth8_domained.netlist, bits)
+            for vdd in SETTINGS.vdd_values:
+                three = explorer.worst_slacks(configs, vdd, case)
+                two = explorer.lattice_engine.analyze(
+                    booth8_domained.constraint, vdd, configs=fbb, case=case
+                )
+                assert np.array_equal(
+                    three[two_state_rows], two.worst_slack_ps
+                ), (bits, vdd)
+
+    def test_rbb_at_lowest_vdd_is_infeasible(self, booth8_domained):
+        """RBB cannot switch at 0.6 V: its delay factor is inf, and the
+        all-RBB row must read infeasible, not NaN."""
+        explorer = TriStateExplorer(booth8_domained)
+        rbb = explorer.state_vbbs[0]
+        assert np.isinf(explorer.library.delay_factor(Corner(0.6, rbb)))
+        configs = all_state_configs(booth8_domained.num_domains, 3)
+        assert not configs[0].any()  # row 0: every domain in RBB
+        case = dvas_case(booth8_domained.netlist, max(SETTINGS.bitwidths))
+        slack = explorer.worst_slacks(configs[:1], 0.6, case)
+        assert slack[0] == -np.inf
 
     def test_rbb_used_at_low_accuracy(self, three_state):
         low = three_state.best_per_bitwidth[min(SETTINGS.bitwidths)]

@@ -1,14 +1,19 @@
 """Small-surface behaviours not covered elsewhere."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core import tristate
+from repro.core.config import ExplorationSettings
+from repro.core.tristate import TriStateExplorer
 from repro.netlist.builder import NetlistBuilder
 from repro.pnr.floorplan import Floorplan
-from repro.sta.batch import BatchStaEngine
 from repro.sta.constraints import ClockConstraint
 from repro.sta.engine import StaEngine
 from repro.sta.graph import compile_timing_graph
+from repro.sta.lattice import all_state_configs
 from repro.techlib.library import Library
 
 LIBRARY = Library()
@@ -85,59 +90,32 @@ class TestEngineValidation:
 
 class TestBatchStateValidation:
     @pytest.fixture()
-    def engine(self, booth8_domained):
-        graph = booth8_domained.timing_graph()
-        return BatchStaEngine(
-            graph, LIBRARY, booth8_domained.domains,
-            booth8_domained.num_domains,
-        ), booth8_domained
+    def explorer(self, booth8_domained):
+        return TriStateExplorer(booth8_domained)
 
-    def test_state_shape_checked(self, engine):
-        batch, design = engine
-        with pytest.raises(ValueError, match="incompatible"):
-            batch.analyze_states(
-                design.constraint, 1.0,
-                np.zeros((4, 2), dtype=int), [0.0, 1.1],
-            )
-
-    def test_state_index_range_checked(self, engine):
-        batch, design = engine
-        with pytest.raises(ValueError, match="out of range"):
-            batch.analyze_states(
-                design.constraint, 1.0,
-                np.full((2, design.num_domains), 7), [0.0, 1.1],
-            )
-
-    def test_two_state_configs_match_bool_engine(self, engine):
-        batch, design = engine
-        from repro.sta.batch import all_bb_configs, all_state_configs
-
-        bool_result = batch.analyze(design.constraint, 0.9)
-        fbb = design.netlist.library.process.fbb_voltage
-        state_result = batch.analyze_states(
-            design.constraint, 0.9,
-            all_state_configs(design.num_domains, 2),
-            [0.0, fbb],
+    def test_two_state_configs_match_bool_engine(self, explorer):
+        """{NoBB, FBB} written as state indices times exactly like the
+        boolean configs the two-state exploration sweeps."""
+        design = explorer.design
+        bool_result = explorer.lattice_engine.analyze(design.constraint, 0.9)
+        state_slack = explorer.worst_slacks(
+            all_state_configs(design.num_domains, 2) + 1, 0.9, None
         )
-        assert np.allclose(
-            bool_result.worst_slack_ps,
-            state_result.worst_slack_ps,
-            atol=0.5,
-        )
+        assert np.array_equal(bool_result.worst_slack_ps, state_slack)
 
-    def test_chunked_equals_unchunked(self, engine):
-        batch, design = engine
-        from repro.sta.batch import all_state_configs
-
-        fbb = design.netlist.library.process.fbb_voltage
-        configs = all_state_configs(design.num_domains, 3)
-        big = batch.analyze_states(
-            design.constraint, 1.0, configs, [-fbb, 0.0, fbb], chunk=4096
+    def test_chunked_equals_unchunked(self, explorer, monkeypatch):
+        settings = ExplorationSettings(
+            bitwidths=(2, 8), activity_cycles=8, activity_batch=8
         )
-        small = batch.analyze_states(
-            design.constraint, 1.0, configs, [-fbb, 0.0, fbb], chunk=7
-        )
-        assert np.allclose(big.worst_slack_ps, small.worst_slack_ps)
+        assert 7 < 3**explorer.design.num_domains <= tristate.LATTICE_CHUNK
+        whole = explorer.run(settings)
+        monkeypatch.setattr(tristate, "LATTICE_CHUNK", 7)
+        chunked = explorer.run(settings)
+        for field in dataclasses.fields(whole):
+            if field.name != "runtime_s":
+                assert getattr(chunked, field.name) == getattr(
+                    whole, field.name
+                ), field.name
 
 
 class TestCliCompare:

@@ -11,7 +11,7 @@ from repro.power.analysis import PowerAnalyzer, PowerReport
 from repro.power.dynamic import DynamicPowerModel, switched_capacitance
 from repro.power.leakage import LeakageModel
 from repro.sim.activity import measure_activity
-from repro.sta.batch import all_bb_configs
+from repro.sta.lattice import all_bb_configs
 from repro.techlib.library import Library
 
 LIBRARY = Library()

@@ -10,8 +10,8 @@ from repro.operators.adders import carry_select_adder, ripple_carry_adder
 from repro.operators.wallace import columns_from_rows, wallace_reduce
 from repro.sim.simulator import LogicSimulator, SimulationMode
 from repro.sim.vectors import bits_to_int, int_to_bits, zero_lsbs
-from repro.sta.batch import all_bb_configs, all_state_configs
 from repro.sta.caseanalysis import UNKNOWN, dvas_case
+from repro.sta.lattice import all_bb_configs, all_state_configs
 from repro.techlib.library import Library
 from repro.techlib.models import (
     delay_scale_factor,

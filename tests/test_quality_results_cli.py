@@ -91,6 +91,15 @@ class TestResultsJson:
         save_exploration(exploration, stream)
         payload = json.loads(stream.getvalue())
         assert payload["schema"] == 1
+        assert payload["kind"] == "repro-exploration"
+
+    def test_corrupt_json_rejected(self):
+        with pytest.raises(ValueError, match="not valid JSON"):
+            load_exploration(io.StringIO('{"schema": 1,'))
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="not an exploration result"):
+            load_exploration(io.StringIO('[{"bits": 8, "cycles": 100}]'))
 
     def test_schema_mismatch_rejected(self):
         with pytest.raises(ValueError, match="schema"):
@@ -141,9 +150,52 @@ class TestCli:
         assert f"exploration result written to {out_json}" in out
         assert main(["replay", "--table", str(out_json)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: not a mode table (kind=None")
+        assert err.startswith(
+            "error: not a mode table (kind='repro-exploration'"
+        )
         assert "repro compile-table" in err
         assert "--exploration FILE" in err
+
+    def test_mode_table_is_not_an_exploration(self, capsys, tmp_path):
+        table = tmp_path / "t.json"
+        design = ["--design", "adder", "--width", "4", "--grid", "1x2"]
+        assert main(["compile-table", *design, "--output", str(table)]) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "compile-table", *design, "--exploration", str(table),
+                "--output", str(tmp_path / "u.json"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: not an exploration result (kind='repro-mode-table'); "
+            "write one with `repro explore --output FILE`\n"
+        )
+
+    def test_trace_is_not_an_exploration(self, capsys, tmp_path):
+        assert main(
+            [
+                "gen-traces", "--family", "bursty", "--length", "8",
+                "--output-dir", str(tmp_path),
+            ]
+        ) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "compile-table", "--design", "adder", "--width", "4",
+                "--grid", "1x2",
+                "--exploration", str(tmp_path / "trace_bursty.json"),
+                "--output", str(tmp_path / "t.json"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: not an exploration result (kind='repro-workload-trace')"
+        )
+        assert err.count("\n") == 1
 
     def test_report_timing_runs(self, capsys):
         code = main(

@@ -1,4 +1,4 @@
-"""Batched STA must agree with the single-configuration engine."""
+"""The lattice STA engine on a partitioned design, against the scalar one."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,11 @@ from repro.operators import booth_multiplier
 from repro.pnr.grid import GridPartition, insert_domains
 from repro.pnr.placer import GlobalPlacer
 from repro.pnr.parasitics import extract_parasitics
-from repro.sta.batch import BatchStaEngine, all_bb_configs
 from repro.sta.caseanalysis import dvas_case
 from repro.sta.constraints import ClockConstraint
 from repro.sta.engine import StaEngine
 from repro.sta.graph import compile_timing_graph
+from repro.sta.lattice import LatticeStaEngine, all_bb_configs
 from repro.techlib.library import Library
 
 LIBRARY = Library()
@@ -52,47 +52,47 @@ class TestBatchMatchesSingle:
         netlist, graph, insertion = domained_booth
         constraint = ClockConstraint(1200.0)
         case = dvas_case(netlist, bits)
-        batch = BatchStaEngine(graph, LIBRARY, insertion.domains, 4)
-        result = batch.analyze(constraint, vdd, case=case)
+        lattice = LatticeStaEngine(graph, LIBRARY, insertion.domains, 4)
+        result = lattice.analyze(constraint, vdd, case=case)
         single = StaEngine(graph, LIBRARY)
         for k, config in enumerate(result.configs):
             fbb_cells = config[insertion.domains]
             report = single.analyze(
                 constraint, vdd, fbb_cells, case=case, compute_required=False
             )
-            assert result.worst_slack_ps[k] == pytest.approx(
-                report.worst_slack_ps, abs=0.5
-            ), f"config {k}"
+            assert result.worst_slack_ps[k] == report.worst_slack_ps, (
+                f"config {k}"
+            )
 
     def test_more_boost_never_hurts(self, domained_booth):
         """Monotonicity: turning a domain to FBB can only improve slack."""
         netlist, graph, insertion = domained_booth
-        batch = BatchStaEngine(graph, LIBRARY, insertion.domains, 4)
-        result = batch.analyze(ClockConstraint(1000.0), 0.9)
+        lattice = LatticeStaEngine(graph, LIBRARY, insertion.domains, 4)
+        result = lattice.analyze(ClockConstraint(1000.0), 0.9)
         slack = result.worst_slack_ps
         for k in range(16):
             for domain in range(4):
                 if not (k >> domain) & 1:
                     boosted = k | (1 << domain)
-                    assert slack[boosted] >= slack[k] - 1e-3
+                    assert slack[boosted] >= slack[k]
 
     def test_subset_configs(self, domained_booth):
         netlist, graph, insertion = domained_booth
-        batch = BatchStaEngine(graph, LIBRARY, insertion.domains, 4)
+        lattice = LatticeStaEngine(graph, LIBRARY, insertion.domains, 4)
         subset = np.asarray([[False] * 4, [True] * 4])
-        result = batch.analyze(ClockConstraint(1000.0), 1.0, configs=subset)
+        result = lattice.analyze(ClockConstraint(1000.0), 1.0, configs=subset)
         assert len(result.worst_slack_ps) == 2
         assert result.worst_slack_ps[1] > result.worst_slack_ps[0]
 
     def test_filtered_fraction(self, domained_booth):
         netlist, graph, insertion = domained_booth
-        batch = BatchStaEngine(graph, LIBRARY, insertion.domains, 4)
+        lattice = LatticeStaEngine(graph, LIBRARY, insertion.domains, 4)
         # A clock nothing can meet: everything filtered.
-        result = batch.analyze(ClockConstraint(50.0), 1.0)
+        result = lattice.analyze(ClockConstraint(50.0), 1.0)
         assert result.num_feasible == 0
         assert result.filtered_fraction == 1.0
         # A clock everything meets: nothing filtered.
-        result = batch.analyze(ClockConstraint(1e6), 1.0)
+        result = lattice.analyze(ClockConstraint(1e6), 1.0)
         assert result.filtered_fraction == 0.0
 
 
@@ -100,17 +100,25 @@ class TestValidation:
     def test_domain_shape_checked(self, domained_booth):
         _netlist, graph, _insertion = domained_booth
         with pytest.raises(ValueError, match="domains shape"):
-            BatchStaEngine(graph, LIBRARY, np.zeros(3, dtype=int), 4)
+            LatticeStaEngine(graph, LIBRARY, np.zeros(3, dtype=int), 4)
 
     def test_domain_range_checked(self, domained_booth):
         _netlist, graph, insertion = domained_booth
         with pytest.raises(ValueError, match="out of range"):
-            BatchStaEngine(graph, LIBRARY, insertion.domains, 2)
+            LatticeStaEngine(graph, LIBRARY, insertion.domains, 2)
 
     def test_config_shape_checked(self, domained_booth):
         _netlist, graph, insertion = domained_booth
-        batch = BatchStaEngine(graph, LIBRARY, insertion.domains, 4)
+        lattice = LatticeStaEngine(graph, LIBRARY, insertion.domains, 4)
         with pytest.raises(ValueError, match="configs shape"):
-            batch.analyze(
+            lattice.analyze(
                 ClockConstraint(1000.0), 1.0, configs=np.ones((2, 3), bool)
+            )
+
+    def test_factor_shape_checked(self, domained_booth):
+        _netlist, graph, insertion = domained_booth
+        lattice = LatticeStaEngine(graph, LIBRARY, insertion.domains, 4)
+        with pytest.raises(ValueError, match="factors shape"):
+            lattice.analyze_factors(
+                ClockConstraint(1000.0), np.ones((2, graph.num_cells + 1))
             )

@@ -24,10 +24,9 @@ from repro.core.flow import implement_with_domains
 from repro.operators import booth_multiplier, fft_butterfly, fir_filter
 from repro.operators.fir import FirParameters
 from repro.pnr.grid import GridPartition
-from repro.sta.batch import all_bb_configs
 from repro.sta.caseanalysis import dvas_case
 from repro.sta.engine import StaEngine
-from repro.sta.lattice import LatticeStaEngine
+from repro.sta.lattice import LatticeStaEngine, all_bb_configs
 from tests.oracles.sta import analyze_pointwise, pointwise_exploration
 from tests.test_parallel_differential import assert_identical
 
