@@ -32,7 +32,7 @@ def test_sta_batching_speedup(benchmark, bundles, settings):
     design = bundle.domained()
     library = design.netlist.library
     graph = design.timing_graph()
-    case = dvas_case(design.netlist, max(settings.bitwidths) // 2)
+    case = dvas_case(design.netlist, [max(settings.bitwidths) // 2])[0]
     configs = all_bb_configs(design.num_domains)
     vdd = 0.9
 

@@ -49,7 +49,7 @@ def test_exploration_statistics(benchmark, bundles, settings):
     engine = LatticeStaEngine(
         graph, design.netlist.library, design.domains, design.num_domains
     )
-    case = dvas_case(design.netlist, max(settings.bitwidths) // 2)
+    case = dvas_case(design.netlist, [max(settings.bitwidths) // 2])[0]
     start = time.perf_counter()
     engine.analyze(design.constraint, 0.8, case=case)
     elapsed = time.perf_counter() - start

@@ -53,8 +53,8 @@ def test_tristate_extension(benchmark, bundles, settings):
     # domain; exactly there the three-state optimizer must choose RBB.
     graph = design.timing_graph()
     fully_dead = {}
-    for bits in settings.bitwidths:
-        case = dvas_case(design.netlist, bits)
+    cases = dvas_case(design.netlist, settings.bitwidths)
+    for bits, case in zip(settings.bitwidths, cases):
         active_arcs = case.active_arc_mask(graph)
         active_domains = set(
             design.domains[graph.arc_cell[np.nonzero(active_arcs)[0]]]

@@ -40,7 +40,7 @@ def test_variation_yield(benchmark, bundles, settings, library):
                     design.constraint,
                     point.vdd,
                     fbb_cells,
-                    case=dvas_case(design.netlist, bits),
+                    case=dvas_case(design.netlist, [bits])[0],
                     samples=SAMPLES,
                 ),
             )

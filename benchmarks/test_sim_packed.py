@@ -1,9 +1,10 @@
 """Perf bench: bit-packed activity extraction vs the interpreted engine.
 
 Activity extraction is the simulation-bound half of the exploration
-(one cycle-accurate run per accuracy mode); the packed engine exists to
-make it cheap.  This bench measures ``LogicSimulator.toggle_rates`` --
-the exact kernel ``measure_activity`` runs -- on the paper's Table 1
+(one cycle-accurate run, each accuracy mode a lane group of it); the
+packed engine exists to make it cheap.  This bench measures
+``LogicSimulator.toggle_rates`` -- one lane group of the kernel
+``measure_activity`` runs -- on the paper's Table 1
 operators under both engines, re-checks that the per-net rates are
 bit-identical, and asserts a speedup floor so a regression in the packed
 path fails CI rather than silently slowing the exploration down.
@@ -40,7 +41,8 @@ FLOORS = {
 
 
 def _toggle_stimulus(netlist):
-    """The exact stimulus schedule ``measure_activity`` would generate."""
+    """The exact stimulus schedule ``measure_activity`` would generate
+    for one mode."""
     rng = np.random.default_rng(2017 + 977 * WIDTH)
     return [
         _gated_stimulus(rng, netlist, WIDTH, BATCH) for _ in range(CYCLES)

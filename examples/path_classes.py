@@ -47,8 +47,8 @@ def main():
         f"{'compliant?':>11s}"
     )
     reports = {}
-    for bits in range(WIDTH, 0, -1):
-        case = dvas_case(design.netlist, bits)
+    bitwidths = range(WIDTH, 0, -1)
+    for bits, case in zip(bitwidths, dvas_case(design.netlist, bitwidths)):
         report = engine.analyze(design.constraint, VDD, fbb, case=case)
         reports[bits] = report
         counts = report.path_class_counts()

@@ -221,7 +221,7 @@ def cmd_report_timing(args) -> int:
     if args.bits is not None:
         from repro.sta.caseanalysis import dvas_case
 
-        case = dvas_case(design.netlist, args.bits)
+        case = dvas_case(design.netlist, [args.bits])[0]
     paths = report_timing(
         engine, design.constraint, args.vdd, fbb_cells,
         case=case, max_paths=args.paths,

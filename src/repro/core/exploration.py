@@ -10,7 +10,8 @@ For every accuracy mode (bitwidth) of interest the explorer
 4. ranks the feasible points by total (leakage + dynamic) power,
 
 and reports the minimum-power configuration per bitwidth: the data behind
-the paper's Fig. 5 Pareto curves.
+the paper's Fig. 5 Pareto curves.  Steps 1 and 2 run once for all of a
+call's bitwidths, each bitwidth a lane of one compiled pass.
 """
 
 from __future__ import annotations
@@ -135,12 +136,12 @@ class ExhaustiveExplorer:
         )
         self.power = PowerAnalyzer(design.netlist, design.parasitics)
 
-    def _activity(
-        self, bits: int, settings: ExplorationSettings
-    ) -> ActivityReport:
+    def _activities(
+        self, bitwidths: Sequence[int], settings: ExplorationSettings
+    ) -> List[ActivityReport]:
         return measure_activity(
             self.design.netlist,
-            bits,
+            bitwidths,
             cycles=settings.activity_cycles,
             batch=settings.activity_batch,
             seed=settings.seed,
@@ -173,8 +174,10 @@ class ExhaustiveExplorer:
     ) -> List[KnobCellResult]:
         """Evaluate one rectangular slice of the knob/combo tensor.
 
-        One case analysis + activity simulation per bitwidth, one
-        whole-lattice STA pass over all *configs* per (bitwidth, VDD).
+        One case analysis and one activity simulation for all
+        *bitwidths* (each bitwidth is a lane of one compiled pass), then
+        one whole-lattice STA pass over all *configs* per bitwidth,
+        stacking the VDD ladder.
         *configs* may be any contiguous slice of the full configuration
         matrix, with *combo_lo* recording its offset on the combo axis.
         This is the single implementation both the serial sweep and
@@ -184,9 +187,11 @@ class ExhaustiveExplorer:
         design = self.design
         config_tuples = [tuple(bool(x) for x in row) for row in configs]
         cells: List[KnobCellResult] = []
-        for bits in bitwidths:
-            case = dvas_case(design.netlist, bits)
-            activity = self._activity(bits, settings)
+        cases = dvas_case(design.netlist, bitwidths)
+        activities = self._activities(bitwidths, settings)
+        # One CaseAnalysis at a time: each lane's analysis (and the
+        # case-filtered schedules memoized on it) dies with its ladder.
+        for bits, case, activity in zip(bitwidths, cases, activities):
             slacks = self._ladder_slacks(vdd_values, configs, case)
             for vdd, worst_slack in zip(vdd_values, slacks):
                 feasible = worst_slack >= 0.0

@@ -143,15 +143,15 @@ class TriStateExplorer:
         best: Dict[int, TriStatePoint] = {}
         evaluated = 0
         feasible_total = 0
-        for bits in settings.bitwidths:
-            case = dvas_case(design.netlist, bits)
-            activity = measure_activity(
-                design.netlist,
-                bits,
-                cycles=settings.activity_cycles,
-                batch=settings.activity_batch,
-                seed=settings.seed,
-            )
+        cases = dvas_case(design.netlist, settings.bitwidths)
+        activities = measure_activity(
+            design.netlist,
+            settings.bitwidths,
+            cycles=settings.activity_cycles,
+            batch=settings.activity_batch,
+            seed=settings.seed,
+        )
+        for bits, case, activity in zip(settings.bitwidths, cases, activities):
             for vdd in settings.vdd_values:
                 slack = self.worst_slacks(configs, vdd, case)
                 evaluated += len(config_tuples)

@@ -43,7 +43,7 @@ def slack_oracle_domains(
     vdd = vdd if vdd is not None else library.process.vdd_nominal
     graph = design.timing_graph()
     engine = StaEngine(graph, library)
-    case = dvas_case(design.netlist, active_bits)
+    case = dvas_case(design.netlist, [active_bits])[0]
     report = engine.analyze(
         design.constraint, vdd, np.ones(graph.num_cells, bool), case=case
     )
@@ -80,7 +80,7 @@ def slack_banded_partition(
     vdd = vdd if vdd is not None else library.process.vdd_nominal
     graph = design.timing_graph()
     engine = StaEngine(graph, library)
-    case = dvas_case(design.netlist, active_bits)
+    case = dvas_case(design.netlist, [active_bits])[0]
     report = engine.analyze(
         design.constraint, vdd, np.ones(graph.num_cells, bool), case=case
     )

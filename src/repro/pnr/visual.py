@@ -97,7 +97,7 @@ def render_criticality(
     graph = design.timing_graph()
     engine = StaEngine(graph, library)
     case = (
-        dvas_case(design.netlist, active_bits)
+        dvas_case(design.netlist, [active_bits])[0]
         if active_bits is not None
         else None
     )

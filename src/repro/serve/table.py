@@ -631,7 +631,8 @@ def compile_margins(
     library = design.netlist.library
     domains = design.domains
     margins: Dict[int, ModeMargin] = {}
-    for bits, point in modes.items():
+    cases = dvas_case(design.netlist, list(modes))
+    for (bits, point), case in zip(modes.items(), cases):
         bb = np.asarray(point.bb_config, dtype=bool)
         fbb_cells = bb[domains]
         mc = MonteCarloTiming(
@@ -641,7 +642,7 @@ def compile_margins(
             design.constraint,
             point.vdd,
             fbb_cells,
-            case=dvas_case(design.netlist, bits),
+            case=case,
             samples=samples,
         )
         guarded = float(

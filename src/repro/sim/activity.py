@@ -5,10 +5,12 @@ random stimulus whose LSBs are gated per DVAS, and record per-net toggle
 rates.  Dynamic power analysis multiplies these rates by net capacitance,
 VDD squared and clock frequency.
 
-Simulation runs on :meth:`LogicSimulator.toggle_rates`: with the packed
-engine consecutive-cycle bitplanes are XOR-popcounted into per-net
-counters and no per-cycle net-value matrix is ever materialized; the
-interpreted fallback uses the ``collect_net_values`` path.  Both are
+All requested modes run as lane groups of one
+:meth:`LogicSimulator.toggle_rates_grouped` call: with the packed engine
+each mode owns a word-aligned slice of the bitplanes, consecutive-cycle
+frames are XOR-popcounted into per-(net, mode) counters and no per-cycle
+net-value matrix is ever materialized; the interpreted fallback runs
+each mode through the ``collect_net_values`` path.  Both are
 bit-identical, so memoized reports are valid whichever engine produced
 them.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -90,60 +92,62 @@ def activity_cache_size() -> int:
 
 def measure_activity(
     netlist: Netlist,
-    active_bits: int,
-    cycles: int = 48,
-    batch: int = 64,
-    seed: int = 2017,
-    warmup_cycles: int = 4,
-) -> ActivityReport:
-    """Measure per-net toggle rates of *netlist* at an accuracy mode.
-
-    Runs a cycle-accurate simulation with fresh random (LSB-gated) input
-    words every cycle, drops *warmup_cycles* cycles of reset transient,
-    and averages transitions per cycle across the remaining cycles and the
-    whole batch of independent streams.  Results are memoized per
-    (netlist content, mode, stimulus parameters).
-    """
-    if cycles < warmup_cycles + 2:
-        raise ValueError("need at least warmup_cycles + 2 cycles")
-    cache_key = (
-        netlist.content_fingerprint(),
-        active_bits, cycles, batch, seed, warmup_cycles,
-    )
-    cached = _ACTIVITY_CACHE.get(cache_key)
-    if cached is not None:
-        _ACTIVITY_CACHE.move_to_end(cache_key)
-        return cached
-    rng = np.random.default_rng(seed + 977 * active_bits)
-    simulator = LogicSimulator(netlist, SimulationMode.CYCLE)
-    stimulus = [
-        _gated_stimulus(rng, netlist, active_bits, batch) for _ in range(cycles)
-    ]
-    rates = simulator.toggle_rates(stimulus, warmup_cycles=warmup_cycles)
-    report = ActivityReport(
-        netlist_name=netlist.name,
-        active_bits=active_bits,
-        cycles=cycles - warmup_cycles,
-        batch=batch,
-        rates=rates,
-    )
-    _ACTIVITY_CACHE[cache_key] = report
-    while len(_ACTIVITY_CACHE) > ACTIVITY_CACHE_LIMIT:
-        _ACTIVITY_CACHE.popitem(last=False)
-    return report
-
-
-def activity_sweep(
-    netlist: Netlist,
     bitwidths: Sequence[int],
     cycles: int = 48,
     batch: int = 64,
     seed: int = 2017,
-) -> Dict[int, ActivityReport]:
-    """Measure activity for every accuracy mode in *bitwidths*."""
-    return {
-        bits: measure_activity(
-            netlist, bits, cycles=cycles, batch=batch, seed=seed
+    warmup_cycles: int = 4,
+) -> List[ActivityReport]:
+    """Per-net toggle rates of *netlist* at each accuracy mode in *bitwidths*.
+
+    Runs a cycle-accurate simulation with fresh random (LSB-gated) input
+    words every cycle, drops *warmup_cycles* cycles of reset transient,
+    and averages transitions per cycle across the remaining cycles and the
+    whole batch of independent streams.  Every mode draws its stimulus
+    from its own stream (``seed + 977 * bits``) and is one lane group of
+    a single packed cycle loop, so a mode's report does not depend on
+    which other modes share the call.  Reports come back in *bitwidths*
+    order and are memoized per (netlist content, mode, stimulus
+    parameters).
+    """
+    if cycles < warmup_cycles + 2:
+        raise ValueError("need at least warmup_cycles + 2 cycles")
+    fingerprint = netlist.content_fingerprint()
+
+    def key(bits: int) -> tuple:
+        return (fingerprint, bits, cycles, batch, seed, warmup_cycles)
+
+    reports: Dict[int, ActivityReport] = {}
+    missing: List[int] = []
+    for bits in bitwidths:
+        cached = _ACTIVITY_CACHE.get(key(bits))
+        if cached is not None:
+            _ACTIVITY_CACHE.move_to_end(key(bits))
+            reports[bits] = cached
+        elif bits not in missing:
+            missing.append(bits)
+    if missing:
+        schedules = []
+        for bits in missing:
+            rng = np.random.default_rng(seed + 977 * bits)
+            schedules.append(
+                [_gated_stimulus(rng, netlist, bits, batch)
+                 for _ in range(cycles)]
+            )
+        simulator = LogicSimulator(netlist, SimulationMode.CYCLE)
+        rates = simulator.toggle_rates_grouped(
+            schedules, warmup_cycles=warmup_cycles
         )
-        for bits in bitwidths
-    }
+        for bits, lane_rates in zip(missing, rates):
+            report = ActivityReport(
+                netlist_name=netlist.name,
+                active_bits=bits,
+                cycles=cycles - warmup_cycles,
+                batch=batch,
+                rates=lane_rates.copy(),
+            )
+            reports[bits] = report
+            _ACTIVITY_CACHE[key(bits)] = report
+        while len(_ACTIVITY_CACHE) > ACTIVITY_CACHE_LIMIT:
+            _ACTIVITY_CACHE.popitem(last=False)
+    return [reports[bits] for bits in bitwidths]

@@ -28,6 +28,7 @@ differential suite checks on random netlists.
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +36,7 @@ import numpy as np
 from repro.netlist.cell import CellInst
 from repro.netlist.netlist import Netlist
 from repro.sim.vectors import bits_to_int, int_to_bits
+from repro.techlib.cells import CellTemplate
 
 #: Stimulus lanes per machine word.
 WORD_BITS = 64
@@ -134,6 +136,88 @@ def lane_mask(batch: int) -> np.ndarray:
     return mask
 
 
+@dataclass(frozen=True)
+class CellGroup:
+    """The cells of one template at one topological level, as index rows.
+
+    Cells at one level cannot read each other's outputs, so a group is
+    evaluated as one gather of ``in_flat`` (pin-major: the rows of pin
+    0 of every member, then pin 1, ...), one vectorized op and one
+    scatter per output pin into ``out_cols``.  ``template`` is the
+    template of the group's first member; ``op_name`` is the template
+    name all members share, or ``"BUF"`` for flip-flops made transparent
+    (Q = D), which may then share a group with buffers.
+    """
+
+    op_name: str
+    template: CellTemplate
+    in_flat: np.ndarray
+    num_in: int
+    size: int
+    out_cols: Tuple[np.ndarray, ...]
+
+
+def compile_groups(
+    order: Sequence[CellInst], num_nets: int, transparent: bool
+) -> List[CellGroup]:
+    """Group an evaluation *order* by (topological level, template).
+
+    The level is recomputed from the order (not the netlist) so
+    TRANSPARENT mode, where flip-flops join the order as D->Q wires,
+    levelizes too.  Groups come back in ascending level order, which is
+    a valid evaluation order.  Raises :class:`PackedCompileError` for a
+    flip-flop in a non-transparent order.
+    """
+    net_level = [0] * num_nets
+    grouped: Dict[
+        Tuple[int, str], Tuple[CellTemplate, List[Tuple[List[int], List[int]]]]
+    ] = {}
+    for cell in order:
+        if cell.is_sequential:
+            if not transparent:
+                raise PackedCompileError(
+                    "sequential cell in a CYCLE-mode combinational order"
+                )
+            op_name = "BUF"  # transparent DFF: Q = D
+            in_idx = [cell.input_nets[0].index]
+            out_idx = [cell.output_nets[0].index]
+        else:
+            op_name = cell.template.name
+            in_idx = [net.index for net in cell.input_nets]
+            out_idx = [net.index for net in cell.output_nets]
+        level = max((net_level[index] for index in in_idx), default=0)
+        for index in out_idx:
+            net_level[index] = level + 1
+        grouped.setdefault((level, op_name), (cell.template, []))[1].append(
+            (in_idx, out_idx)
+        )
+
+    # All input rows of a group are gathered with a single pre-raveled
+    # ``take`` (an order of magnitude cheaper than one fancy index per
+    # pin) and reshaped to (pins, cells_in_group, lanes).
+    groups: List[CellGroup] = []
+    for level, op_name in sorted(grouped):
+        template, members = grouped[(level, op_name)]
+        num_in = len(members[0][0])
+        groups.append(
+            CellGroup(
+                op_name=op_name,
+                template=template,
+                in_flat=np.asarray(
+                    [m[0][pin] for pin in range(num_in) for m in members],
+                    dtype=np.intp,
+                ),
+                num_in=num_in,
+                size=len(members),
+                out_cols=tuple(
+                    np.asarray([m[1][pin] for m in members], dtype=np.intp)
+                    for pin in range(len(members[0][1]))
+                ),
+            )
+        )
+    return groups
+
+
 class PackedEngine:
     """One netlist compiled to level/template-grouped bitplane operations.
 
@@ -161,67 +245,28 @@ class PackedEngine:
             netlist.clock_net.index if netlist.clock_net is not None else None
         )
 
-        # Group cells by (level, template).  The level is recomputed from
-        # the evaluation *order* (not the netlist) so TRANSPARENT mode,
-        # where flip-flops join the order as D->Q wires, levelizes too.
-        net_level = np.zeros(self.num_nets, dtype=np.int64)
-        grouped: Dict[
-            Tuple[int, str], List[Tuple[List[int], List[int]]]
-        ] = {}
-        for cell in order:
-            if cell.is_sequential:
-                if not transparent:
-                    raise PackedCompileError(
-                        "sequential cell in a CYCLE-mode combinational order"
-                    )
-                op_name = "BUF"  # transparent DFF: Q = D
-                in_idx = [cell.input_nets[0].index]
-                out_idx = [cell.output_nets[0].index]
-            else:
-                op_name = cell.template.name
-                if op_name not in _PACKED_OPS and op_name not in _TIE_VALUES:
-                    raise PackedCompileError(
-                        f"no packed op for cell template {op_name!r}"
-                    )
-                in_idx = [net.index for net in cell.input_nets]
-                out_idx = [net.index for net in cell.output_nets]
-            level = 0
-            for index in in_idx:
-                level = max(level, int(net_level[index]))
-            for index in out_idx:
-                net_level[index] = level + 1
-            grouped.setdefault((level, op_name), []).append((in_idx, out_idx))
-
-        # Each group becomes one gather / bitwise op / scatter.  All input
-        # rows of the group are gathered with a single pre-raveled
-        # ``take`` (an order of magnitude cheaper than one fancy index
-        # per pin) and reshaped to (pins, cells_in_group, words).
+        # Each group becomes one gather / bitwise op / scatter.
         self._groups: List[tuple] = []
-        for level, op_name in sorted(grouped):
-            members = grouped[(level, op_name)]
-            num_in = len(members[0][0])
-            in_flat = np.asarray(
-                [m[0][pin] for pin in range(num_in) for m in members],
-                dtype=np.intp,
-            )
-            out_cols = tuple(
-                np.asarray([m[1][pin] for m in members], dtype=np.intp)
-                for pin in range(len(members[0][1]))
-            )
-            if op_name in _TIE_VALUES:
+        for group in compile_groups(order, self.num_nets, transparent):
+            if group.op_name in _TIE_VALUES:
                 self._groups.append(
-                    (None, _TIE_VALUES[op_name], None, 0, 0, out_cols)
+                    (None, _TIE_VALUES[group.op_name], None, 0, 0,
+                     group.out_cols)
                 )
-            else:
+            elif group.op_name in _PACKED_OPS:
                 self._groups.append(
                     (
-                        _PACKED_OPS[op_name],
+                        _PACKED_OPS[group.op_name],
                         None,
-                        in_flat,
-                        num_in,
-                        len(members),
-                        out_cols,
+                        group.in_flat,
+                        group.num_in,
+                        group.size,
+                        group.out_cols,
                     )
+                )
+            else:
+                raise PackedCompileError(
+                    f"no packed op for cell template {group.op_name!r}"
                 )
 
         # Flip-flop state rows for CYCLE mode.
@@ -287,11 +332,12 @@ class PackedEngine:
     ) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
         """Pack a whole stimulus schedule into per-bus bitplane stacks.
 
-        Returns ``[(bus_net_rows, planes)]`` with ``planes`` of shape
-        ``(cycles, width, words)`` -- one ``packbits`` per bus instead of
-        one per (bus, cycle), which is what makes the streaming toggle
-        loop cheap.  Returns ``None`` when the bus set varies between
-        cycles (the per-cycle apply path handles that general case).
+        Returns ``[(bus_net_rows, planes)]`` in bus-name order, with
+        ``planes`` of shape ``(cycles, width, words)`` -- one ``packbits``
+        per bus instead of one per (bus, cycle), which is what makes the
+        streaming toggle loop cheap.  Returns ``None`` when the bus set
+        varies between cycles (the per-cycle apply path handles that
+        general case).
         """
         if not per_cycle_inputs:
             return None
@@ -300,7 +346,7 @@ class PackedEngine:
             return None
         cycles = len(per_cycle_inputs)
         plan: List[Tuple[np.ndarray, np.ndarray]] = []
-        for name in names:
+        for name in sorted(names):
             bus = self.netlist.input_buses[name]
             stim = [np.asarray(cycle[name]) for cycle in per_cycle_inputs]
             for cycle_stim in stim:

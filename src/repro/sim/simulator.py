@@ -23,7 +23,7 @@ is exact, so both give the same bits.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.sim.packed import (
     lane_mask,
     popcount_rows,
     unpack_lanes,
+    words_for,
 )
 from repro.sim.vectors import bits_to_int, int_to_bits
 
@@ -296,53 +297,93 @@ class LogicSimulator:
         """Per-net average toggles per cycle, after *warmup_cycles* of
         reset transient.  The clock net is fixed at 2 transitions/cycle.
 
-        On the packed engine this streams: consecutive post-warmup
-        bitplane frames are XORed and popcounted into per-net counters,
-        so no per-cycle net-value matrix is ever materialized.  The
-        interpreted fallback runs the ``collect_net_values`` path.
-        Both produce bit-identical rates: integer toggle counts over the
-        same ``(kept_cycles - 1) * batch`` transitions.
+        One lane group of :meth:`toggle_rates_grouped`.
+        """
+        return self.toggle_rates_grouped([per_cycle_inputs], warmup_cycles)[0]
+
+    def toggle_rates_grouped(
+        self,
+        schedules: Sequence[Sequence[Mapping[str, np.ndarray]]],
+        warmup_cycles: int = 0,
+    ) -> np.ndarray:
+        """Toggle rates of independent stimulus schedules, ``(groups, nets)``.
+
+        Every schedule is a per-cycle input sequence; all must share one
+        cycle count and one batch.  On the packed engine each schedule
+        is a word-aligned lane group of one cycle loop: consecutive
+        post-warmup bitplane frames are XORed and popcounted into
+        per-(net, group) counters, so no per-cycle net-value matrix is
+        ever materialized.  The interpreted fallback runs each schedule
+        through the ``collect_net_values`` path.  Both produce
+        bit-identical rates, and a group's rates do not depend on the
+        other groups: integer toggle counts over the same
+        ``(kept_cycles - 1) * batch`` transitions.
         """
         if self.mode is not SimulationMode.CYCLE:
             raise ValueError("toggle_rates requires CYCLE mode")
-        if not per_cycle_inputs:
+        if not schedules:
+            return np.empty((0, len(self.netlist.nets)))
+        cycles = len(schedules[0])
+        if cycles == 0:
             raise ValueError("need at least one cycle of stimulus")
-        if len(per_cycle_inputs) - warmup_cycles < 2:
+        if cycles - warmup_cycles < 2:
             raise ValueError("need at least two cycles to count toggles")
+        batch = self._infer_batch(schedules[0])
+        for schedule in schedules[1:]:
+            if len(schedule) != cycles or self._infer_batch(schedule) != batch:
+                raise ValueError(
+                    "lane groups must share one cycle count and one batch"
+                )
         if self._packed is None:
-            trace = self.run_cycles(per_cycle_inputs, collect_net_values=True)
-            trace.net_values_per_cycle = trace.net_values_per_cycle[
-                warmup_cycles:
-            ]
-            return trace.toggle_counts()
-        return self._toggle_rates_packed(per_cycle_inputs, warmup_cycles)
+            return np.stack(
+                [self._toggle_rates_interpreted(s, warmup_cycles)
+                 for s in schedules]
+            )
+        return self._toggle_rates_packed(schedules, batch, warmup_cycles)
 
-    def _toggle_rates_packed(
+    def _toggle_rates_interpreted(
         self,
         per_cycle_inputs: Sequence[Mapping[str, np.ndarray]],
         warmup_cycles: int,
     ) -> np.ndarray:
+        trace = self.run_cycles(per_cycle_inputs, collect_net_values=True)
+        trace.net_values_per_cycle = trace.net_values_per_cycle[warmup_cycles:]
+        return trace.toggle_counts()
+
+    def _toggle_rates_packed(
+        self,
+        schedules: Sequence[Sequence[Mapping[str, np.ndarray]]],
+        batch: int,
+        warmup_cycles: int,
+    ) -> np.ndarray:
         packed = self._packed
-        batch = self._infer_batch(per_cycle_inputs)
-        values = packed.new_values(batch)
+        groups = len(schedules)
+        group_words = words_for(batch)
+        # Group g owns words [g * group_words, (g + 1) * group_words).
+        values = np.zeros(
+            (packed.num_nets, groups * group_words), dtype=np.uint64
+        )
         state = np.zeros((len(packed.ff_q), values.shape[1]), dtype=np.uint64)
         has_state = len(packed.ff_q) > 0
-        # Padding lanes of the last word can flip (TIEHI sets them,
-        # autonomous feedback evolves them) -- mask them out of counts.
+        # Padding lanes of each group's last word can flip (TIEHI sets
+        # them, autonomous feedback evolves them) -- mask them out.
         tail_mask = lane_mask(batch)[-1]
         partial_tail = batch % 64 != 0
-        counts = np.zeros(packed.num_nets, dtype=np.int64)
+        counts = np.zeros((packed.num_nets, groups), dtype=np.int64)
         previous: Optional[np.ndarray] = None
         flips = np.empty_like(values)
-        prepacked = packed.prepack_cycles(per_cycle_inputs, batch)
-        for cycle, cycle_inputs in enumerate(per_cycle_inputs):
+        flips_by_group = flips.reshape(packed.num_nets, groups, group_words)
+        prepacked = self._prepack_groups(schedules, batch)
+        for cycle in range(len(schedules[0])):
             if has_state:
                 values[packed.ff_q] = state
             if prepacked is not None:
                 for bus_rows, planes in prepacked:
                     values[bus_rows] = planes[cycle]
             else:
-                packed.apply_inputs(values, cycle_inputs, batch)
+                for g, schedule in enumerate(schedules):
+                    group = values[:, g * group_words:(g + 1) * group_words]
+                    packed.apply_inputs(group, schedule[cycle], batch)
             if packed.clock_index is not None:
                 values[packed.clock_index] = 0
             packed.evaluate(values)
@@ -355,15 +396,43 @@ class LogicSimulator:
             else:
                 np.bitwise_xor(values, previous, out=flips)
                 if partial_tail:
-                    flips[:, -1] &= tail_mask
-                counts += popcount_rows(flips)
+                    flips_by_group[:, :, -1] &= tail_mask
+                counts += popcount_rows(
+                    flips.reshape(-1, group_words)
+                ).reshape(packed.num_nets, groups)
             previous[:, :] = values
-        kept = len(per_cycle_inputs) - warmup_cycles
+        kept = len(schedules[0]) - warmup_cycles
         transitions = (kept - 1) * batch
-        rates = counts.astype(np.float64) / transitions
+        rates = counts.transpose().astype(np.float64) / transitions
         if packed.clock_index is not None:
-            rates[packed.clock_index] = 2.0
+            rates[:, packed.clock_index] = 2.0
         return rates
+
+    def _prepack_groups(
+        self,
+        schedules: Sequence[Sequence[Mapping[str, np.ndarray]]],
+        batch: int,
+    ) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+        """Every group's prepacked bus planes side by side on the word
+        axis, or ``None`` when a schedule's bus set varies (the per-cycle
+        apply path then handles it)."""
+        plans = [
+            self._packed.prepack_cycles(schedule, batch)
+            for schedule in schedules
+        ]
+        if any(plan is None for plan in plans):
+            return None
+        first = plans[0]
+        if any(
+            len(plan) != len(first)
+            or any(a[0] is not b[0] for a, b in zip(plan, first))
+            for plan in plans[1:]
+        ):
+            return None
+        return [
+            (rows, np.concatenate([plan[i][1] for plan in plans], axis=2))
+            for i, (rows, _) in enumerate(first)
+        ]
 
 
 class CycleTrace:

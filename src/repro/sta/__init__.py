@@ -6,7 +6,8 @@ The netlist is compiled once into a flat arc-level timing graph
 
 * :mod:`caseanalysis` -- constant propagation of zeroed input LSBs (through
   sequential elements, to a fixpoint) deactivates timing paths, which is
-  how reduced accuracy buys timing slack;
+  how reduced accuracy buys timing slack; every accuracy mode is a lane
+  of one compiled, table-driven pass;
 * :mod:`lattice` -- one levelized float64 sweep evaluates *all*
   2^NMAX back-bias assignments of a partitioned design at once (or any
   per-cell delay factors, e.g. the {RBB, NoBB, FBB} extension), which
@@ -20,7 +21,9 @@ from repro.sta.engine import StaEngine, TimingReport
 from repro.sta.lattice import LatticeStaEngine, LatticeTimingResult
 from repro.sta.caseanalysis import (
     CaseAnalysis,
+    CaseLanes,
     propagate_constants,
+    propagate_lanes,
     dvas_case,
     UNKNOWN,
 )
@@ -37,7 +40,9 @@ __all__ = [
     "LatticeStaEngine",
     "LatticeTimingResult",
     "CaseAnalysis",
+    "CaseLanes",
     "propagate_constants",
+    "propagate_lanes",
     "dvas_case",
     "UNKNOWN",
     "ClockConstraint",

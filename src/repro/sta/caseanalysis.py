@@ -2,8 +2,8 @@
 
 Zeroing input LSBs (the DVAS accuracy knob) makes part of the logic
 constant; timing paths through constant nets are *deactivated* (set (1) of
-Fig. 2) and stop constraining the clock.  This module computes, for a given
-accuracy mode, the constant value of every net.
+Fig. 2) and stop constraining the clock.  This module computes, for given
+accuracy modes, the constant value of every net.
 
 Propagation is three-valued (0 / 1 / unknown) and runs *through* flip-flops
 to a fixpoint: every flip-flop starts at its reset state (0) and is marked
@@ -12,17 +12,31 @@ considered constant only when its value is inductively invariant, which is
 sound for timing (a net we call unknown merely stays pessimistically
 active).  This sequential propagation is what lets the FIR's delay line
 and accumulator LSBs deactivate under input gating.
+
+The netlist is compiled once per call into the (topological level,
+template) groups of :func:`repro.sim.packed.compile_groups`, with one
+three-valued lookup table per template (``3^k`` entries for ``k`` inputs,
+derived from the template's truth table).  Net codes live in a
+``(nets, lanes)`` matrix with one lane per forced map -- per accuracy
+mode for :func:`dvas_case` -- so one sweep evaluates a whole group of
+cells for every mode with a gather, a table lookup and a scatter.  The
+flip-flop fixpoint repeats the sweep until no lane changes; a lane that
+has converged stays unchanged under further sweeps, so each lane records
+its own sweep count.  The per-cell reference walker this replaced lives
+in ``tests/oracles/caseanalysis.py`` and the differential suite holds the
+lanes to it, values and sweep counts alike.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.netlist.netlist import Netlist
+from repro.sim.packed import compile_groups
 
 #: Net constant codes.
 ZERO = np.uint8(0)
@@ -138,37 +152,225 @@ def _sensitization_matrix(template, input_codes: tuple) -> list:
     return matrix
 
 
-#: Memo of (template name, input codes) -> output codes.  Templates are few
-#: and inputs are at most three-valued triples, so this cache is tiny and
-#: makes fixpoint sweeps fast.
-_EVAL_CACHE: Dict[tuple, tuple] = {}
+def _three_valued_table(template) -> np.ndarray:
+    """``(3^k, outputs)`` output codes of *template* on three-valued inputs.
 
-
-def _evaluate_three_valued(cell, input_codes) -> tuple:
-    """Evaluate one cell on 3-valued inputs by enumerating unknowns."""
-    key = (cell.template.name, tuple(int(c) for c in input_codes))
-    cached = _EVAL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    unknown_positions = [i for i, c in enumerate(input_codes) if c == UNKNOWN]
-    base = [bool(c) if c != UNKNOWN else False for c in input_codes]
-    outcomes = None
-    for combo in itertools.product((False, True), repeat=len(unknown_positions)):
-        trial = list(base)
-        for position, value in zip(unknown_positions, combo):
-            trial[position] = value
-        outputs = tuple(bool(np.asarray(o)) for o in cell.template.evaluate(*trial))
-        if outcomes is None:
-            outcomes = [{o} for o in outputs]
-        else:
-            for seen, o in zip(outcomes, outputs):
-                seen.add(o)
-    result = tuple(
-        (ONE if seen == {True} else ZERO if seen == {False} else UNKNOWN)
-        for seen in outcomes
+    Row ``sum(codes[pin] * 3**pin)`` holds the outputs for input codes
+    ``codes``: :data:`ONE` or :data:`ZERO` when every boolean input
+    vector consistent with the known inputs agrees, else
+    :data:`UNKNOWN` -- an OR over the consistent minterms of the truth
+    table, i.e. exactly the enumeration of the unknown inputs.
+    """
+    num_in = len(template.inputs)
+    minterms = np.asarray(
+        list(itertools.product((False, True), repeat=num_in)), dtype=bool
+    ).reshape(2**num_in, num_in)
+    truth = np.asarray(
+        [
+            [bool(np.asarray(o)) for o in template.evaluate(*row)]
+            for row in minterms.tolist()
+        ],
+        dtype=bool,
     )
-    _EVAL_CACHE[key] = result
-    return result
+    table = np.empty((3**num_in, truth.shape[1]), dtype=np.uint8)
+    for index in range(3**num_in):
+        consistent = np.ones(len(minterms), dtype=bool)
+        for pin in range(num_in):
+            code = (index // 3**pin) % 3
+            if code != UNKNOWN:
+                consistent &= minterms[:, pin] == bool(code)
+        can_be_one = truth[consistent].any(axis=0)
+        can_be_zero = (~truth[consistent]).any(axis=0)
+        table[index] = np.where(
+            can_be_one & can_be_zero, UNKNOWN, np.where(can_be_one, ONE, ZERO)
+        )
+    return table
+
+
+class _CaseProgram:
+    """One netlist compiled for lane-parallel three-valued sweeps."""
+
+    def __init__(self, netlist: Netlist):
+        self.num_nets = len(netlist.nets)
+        groups = compile_groups(
+            netlist.topological_cells(), self.num_nets, transparent=False
+        )
+        tables: Dict[str, np.ndarray] = {}
+        #: Per group: (input rows, pins, cells, per-output (rows, table)).
+        self.groups = []
+        for group in groups:
+            table = tables.get(group.op_name)
+            if table is None:
+                table = tables[group.op_name] = _three_valued_table(
+                    group.template
+                )
+            self.groups.append(
+                (
+                    group.in_flat,
+                    group.num_in,
+                    group.size,
+                    [
+                        (rows, np.ascontiguousarray(table[:, pin]))
+                        for pin, rows in enumerate(group.out_cols)
+                    ],
+                )
+            )
+        sequential = netlist.sequential_cells
+        self.ff_q = np.asarray(
+            [ff.output_nets[0].index for ff in sequential], dtype=np.intp
+        )
+        self.ff_d = np.asarray(
+            [ff.input_nets[0].index for ff in sequential], dtype=np.intp
+        )
+        # The fixpoint visits flip-flops in netlist order, so a register
+        # whose D is the Q of an *earlier* register sees that Q's update
+        # from the same visit.  Rank such chains: rank r holds the
+        # registers fed by a rank r-1 register's Q, and ranks update in
+        # order, each as one vectorized step.
+        position = {int(q): i for i, q in enumerate(self.ff_q)}
+        rank = np.zeros(len(sequential), dtype=np.int64)
+        for i, d in enumerate(self.ff_d):
+            j = position.get(int(d))
+            if j is not None and j < i:
+                rank[i] = rank[j] + 1
+        self.ff_ranks = [
+            np.nonzero(rank == r)[0]
+            for r in range(int(rank.max()) + 1 if len(rank) else 0)
+        ]
+        self.clock_index = (
+            netlist.clock_net.index if netlist.clock_net is not None else None
+        )
+
+    def run(
+        self, forced_lanes: Sequence[Mapping[int, bool]], max_sweeps: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fixpoint codes ``(nets, lanes)`` and per-lane sweep counts."""
+        lanes = len(forced_lanes)
+        values = np.full((self.num_nets, lanes), UNKNOWN, dtype=np.uint8)
+        forced = np.zeros((self.num_nets, lanes), dtype=bool)
+        for lane, lane_forced in enumerate(forced_lanes):
+            for net_index, value in lane_forced.items():
+                values[net_index, lane] = ONE if value else ZERO
+                forced[net_index, lane] = True
+        if self.clock_index is not None:
+            # The clock is a timing signal, not a logic value; for case
+            # analysis it is irrelevant (no combinational cell reads it).
+            values[self.clock_index] = UNKNOWN
+        # Reset state: every flip-flop output starts at 0 unless forced.
+        forced_q = forced[self.ff_q]
+        values[self.ff_q] = np.where(forced_q, values[self.ff_q], ZERO)
+        # Registers that may still turn unknown: neither forced nor
+        # already marked (a marked register stays unknown for good).
+        open_q = ~forced_q
+        # Forced nets keep their value even when a cell drives them.
+        forced_row = forced.any(axis=1)
+        groups = [
+            (
+                in_flat,
+                num_in,
+                size,
+                [
+                    (rows, table,
+                     forced[rows] if forced_row[rows].any() else None)
+                    for rows, table in outputs
+                ],
+            )
+            for in_flat, num_in, size, outputs in self.groups
+        ]
+
+        sweeps = np.zeros(lanes, dtype=np.int64)
+        active = np.ones(lanes, dtype=bool)
+        count = 0
+        while active.any():
+            count += 1
+            if count > max_sweeps:
+                raise RuntimeError(
+                    f"case analysis did not converge in {max_sweeps} sweeps"
+                )
+            for in_flat, num_in, size, outputs in groups:
+                if num_in:
+                    codes = values.take(in_flat, axis=0).reshape(
+                        num_in, size, lanes
+                    )
+                    index = codes[0]
+                    for pin in range(1, num_in):
+                        index = index + codes[pin] * np.uint8(3**pin)
+                else:  # tie cell: one table row
+                    index = np.zeros((size, lanes), dtype=np.uint8)
+                for rows, table, keep in outputs:
+                    out = table[index]
+                    if keep is not None:
+                        out = np.where(keep, values[rows], out)
+                    values[rows] = out
+            changed = np.zeros(lanes, dtype=bool)
+            for members in self.ff_ranks:
+                q_rows = self.ff_q[members]
+                q_codes = values[q_rows]
+                d_codes = values[self.ff_d[members]]
+                flips = open_q[members] & (d_codes != q_codes)
+                if flips.any():
+                    # Next state differs from the assumed invariant.
+                    values[q_rows] = np.where(flips, UNKNOWN, q_codes)
+                    open_q[members] &= ~flips
+                    changed |= flips.any(axis=0)
+            sweeps[active & ~changed] = count
+            active &= changed
+        return values, sweeps
+
+
+class CaseLanes:
+    """Case analyses of several forced maps, computed as lanes of one pass.
+
+    ``values[:, k]`` holds lane *k*'s net codes and ``sweeps[k]`` the
+    fixpoint sweeps it took.  Indexing builds lane *k*'s
+    :class:`CaseAnalysis` afresh, so a caller walking the lanes holds one
+    analysis -- and the timing schedules memoized on it -- at a time.
+    """
+
+    def __init__(
+        self,
+        netlist: Netlist,
+        values: np.ndarray,
+        sweeps: np.ndarray,
+        forced: Sequence[Mapping[int, bool]],
+    ):
+        self.netlist = netlist
+        self.values = values
+        self.sweeps = sweeps
+        self.forced = [dict(lane) for lane in forced]
+
+    def __len__(self) -> int:
+        return len(self.forced)
+
+    def __iter__(self) -> Iterator[CaseAnalysis]:
+        return (self[lane] for lane in range(len(self)))
+
+    def __getitem__(self, lane: int) -> CaseAnalysis:
+        if not -len(self) <= lane < len(self):
+            raise IndexError(f"lane {lane} out of range")
+        return CaseAnalysis(
+            netlist=self.netlist,
+            values=np.ascontiguousarray(self.values[:, lane]),
+            forced=dict(self.forced[lane]),
+            sweeps=int(self.sweeps[lane]),
+        )
+
+
+def propagate_lanes(
+    netlist: Netlist,
+    forced_lanes: Sequence[Mapping[int, bool]],
+    max_sweeps: int = 64,
+) -> CaseLanes:
+    """Propagate each forced map (net index -> bool) to its fixpoint.
+
+    Unforced primary inputs are unknown; flip-flops start at 0 and turn
+    unknown (stickily) when their D value ever disagrees with their
+    current value.  Raises :class:`RuntimeError` if a lane reaches no
+    fixpoint within *max_sweeps* sweeps (cannot happen on a finite
+    monotone lattice unless the netlist is malformed).
+    """
+    values, sweeps = _CaseProgram(netlist).run(forced_lanes, max_sweeps)
+    return CaseLanes(netlist, values, sweeps, forced_lanes)
 
 
 def propagate_constants(
@@ -176,83 +378,35 @@ def propagate_constants(
     forced: Mapping[int, bool],
     max_sweeps: int = 64,
 ) -> CaseAnalysis:
-    """Propagate *forced* net values (net index -> bool) to a fixpoint.
-
-    Unforced primary inputs are unknown; flip-flops start at 0 and turn
-    unknown (stickily) when their D value ever disagrees with their
-    current value.  Raises :class:`RuntimeError` if no fixpoint is reached
-    within *max_sweeps* sweeps (cannot happen on a finite monotone
-    lattice unless the netlist is malformed).
-    """
-    values = np.full(len(netlist.nets), UNKNOWN, dtype=np.uint8)
-    for net_index, value in forced.items():
-        values[net_index] = ONE if value else ZERO
-    if netlist.clock_net is not None:
-        # The clock is a timing signal, not a logic value; for case analysis
-        # it is irrelevant (no combinational cell reads it).
-        values[netlist.clock_net.index] = UNKNOWN
-
-    # Reset state: every flip-flop output starts at 0 unless forced.
-    sticky_unknown = set()
-    for ff in netlist.sequential_cells:
-        q_index = ff.output_nets[0].index
-        if q_index not in forced:
-            values[q_index] = ZERO
-
-    order = netlist.topological_cells()
-    sweeps = 0
-    while True:
-        sweeps += 1
-        if sweeps > max_sweeps:
-            raise RuntimeError(
-                f"case analysis did not converge in {max_sweeps} sweeps"
-            )
-        for cell in order:
-            input_codes = [values[net.index] for net in cell.input_nets]
-            outputs = _evaluate_three_valued(cell, input_codes)
-            for net, code in zip(cell.output_nets, outputs):
-                if net.index not in forced:
-                    values[net.index] = code
-
-        changed = False
-        for ff in netlist.sequential_cells:
-            q_index = ff.output_nets[0].index
-            if q_index in forced or q_index in sticky_unknown:
-                continue
-            d_code = values[ff.input_nets[0].index]
-            q_code = values[q_index]
-            if d_code == q_code:
-                continue
-            # Next state differs from the assumed invariant: not constant.
-            values[q_index] = UNKNOWN
-            sticky_unknown.add(q_index)
-            changed = True
-        if not changed:
-            break
-
-    return CaseAnalysis(
-        netlist=netlist, values=values, forced=dict(forced), sweeps=sweeps
-    )
+    """Propagate one forced map to a fixpoint: one lane of
+    :func:`propagate_lanes`."""
+    return propagate_lanes(netlist, [forced], max_sweeps)[0]
 
 
 def dvas_case(
     netlist: Netlist,
-    active_bits: int,
+    bitwidths: Sequence[int],
     buses: Optional[Mapping[str, int]] = None,
-) -> CaseAnalysis:
-    """Case analysis for a DVAS accuracy mode.
+) -> CaseLanes:
+    """Case analysis for DVAS accuracy modes, one lane per bitwidth.
 
-    Forces the lowest ``width - active_bits`` bits of every input bus to
-    zero.  *buses* optionally overrides the active width per bus name
-    (e.g. to gate only data inputs); by default every input bus is gated
-    to *active_bits*.
+    Lane *k* forces the lowest ``width - bitwidths[k]`` bits of every
+    input bus to zero.  *buses* optionally overrides the active width
+    per bus name (e.g. to gate only data inputs) in every lane; by
+    default every input bus is gated to the lane's bitwidth.
     """
-    forced: Dict[int, bool] = {}
-    for name, bus in netlist.input_buses.items():
-        active = buses.get(name, active_bits) if buses is not None else active_bits
-        active = min(active, bus.width)
-        if active < 0:
-            raise ValueError(f"negative active width for bus {name!r}")
-        for net in bus.nets[: bus.width - active]:
-            forced[net.index] = False
-    return propagate_constants(netlist, forced)
+    forced_lanes: List[Dict[int, bool]] = []
+    for active_bits in bitwidths:
+        forced: Dict[int, bool] = {}
+        for name, bus in netlist.input_buses.items():
+            active = (
+                buses.get(name, active_bits) if buses is not None
+                else active_bits
+            )
+            active = min(active, bus.width)
+            if active < 0:
+                raise ValueError(f"negative active width for bus {name!r}")
+            for net in bus.nets[: bus.width - active]:
+                forced[net.index] = False
+        forced_lanes.append(forced)
+    return propagate_lanes(netlist, forced_lanes)

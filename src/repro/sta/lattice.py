@@ -24,6 +24,7 @@ cell) delay factors, which is how the multi-Vth extension
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -263,12 +264,10 @@ class LatticeStaEngine:
         self.library = library
         self.domains = domains
         self.num_domains = num_domains
-        # Padded level compilations, keyed by levelized-schedule identity.
-        # Case-filtered schedules are transient (they live on the
-        # CaseAnalysis), so each entry pins its schedule: a freed
-        # schedule's id could otherwise be recycled by a new one and be
-        # served a stale compilation.
-        self._padded_cache = {}
+        # Padded level compilations per levelized schedule and direction.
+        # Case-filtered schedules live on their CaseAnalysis, so the
+        # entries are weak: a case's padded levels die with the case.
+        self._padded_cache = weakref.WeakKeyDictionary()
         # Reusable per-combo-width work buffers; repeated analyze calls
         # (one per knob point during exploration) would otherwise
         # mmap/munmap multi-MB temporaries every pass.
@@ -279,18 +278,22 @@ class LatticeStaEngine:
         self._endpoint_clip = np.maximum(graph.endpoint_cell, 0)
         self._endpoint_external = (graph.endpoint_cell < 0)[:, None]
 
-    def _padded_schedule(self, schedule: LevelizedSchedule):
-        cached = self._padded_cache.get(id(schedule))
-        if cached is None or cached[0] is not schedule:
-            forward = _pad_levels(schedule.forward, self.graph.arc_from)
-            backward = _pad_levels(schedule.backward, self.graph.arc_to)
-            slots = max(
-                (lvl.segments * lvl.fanin for lvl in forward + backward),
-                default=0,
-            )
-            cached = (schedule, forward, backward, slots)
-            self._padded_cache[id(schedule)] = cached
-        return cached[1:]
+    def _padded_levels(self, schedule: LevelizedSchedule, backward: bool):
+        """Padded forward or backward levels of *schedule*, memoized.
+
+        Backward levels are keyed by source net, so a high-fanout net
+        pads its whole level to its fanout; they are compiled only for
+        a sweep that computes required times.
+        """
+        padded = self._padded_cache.setdefault(schedule, {})
+        levels = padded.get(backward)
+        if levels is None:
+            if backward:
+                levels = _pad_levels(schedule.backward, self.graph.arc_to)
+            else:
+                levels = _pad_levels(schedule.forward, self.graph.arc_from)
+            padded[backward] = levels
+        return levels
 
     def _scratch_for(self, num_combos: int, slots: int):
         buffers = self._scratch.get(num_combos)
@@ -389,8 +392,16 @@ class LatticeStaEngine:
         if configs is None:
             configs = np.zeros((num_combos, self.num_domains), dtype=bool)
         schedule = schedule_for(graph, case)
-        forward_levels, backward_levels, slots = self._padded_schedule(
-            schedule
+        forward_levels = self._padded_levels(schedule, backward=False)
+        backward_levels = (
+            self._padded_levels(schedule, backward=True)
+            if compute_required
+            else []
+        )
+        slots = max(
+            (lvl.segments * lvl.fanin
+             for lvl in forward_levels + backward_levels),
+            default=0,
         )
         period = constraint.effective_period_ps
         buffers = self._scratch_for(num_combos, slots)

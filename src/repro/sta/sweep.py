@@ -48,13 +48,15 @@ class SweepLevel:
     nets: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelizedSchedule:
     """Forward (by sink) and backward (by source) per-level segment runs.
 
     Both lists are in ascending level order; backward sweeps iterate
     ``reversed(backward)``.  Levels left with no active arcs after case
-    filtering are dropped.
+    filtering are dropped.  Schedules compare and hash by identity, so
+    compilations derived from one (the lattice's padded levels) can be
+    memoized weakly and die with it.
     """
 
     forward: List[SweepLevel]

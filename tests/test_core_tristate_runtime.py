@@ -69,7 +69,7 @@ class TestTriState:
         two_state_rows = np.all(configs > 0, axis=1)
         fbb = configs[two_state_rows] == 2
         for bits in SETTINGS.bitwidths:
-            case = dvas_case(booth8_domained.netlist, bits)
+            case = dvas_case(booth8_domained.netlist, [bits])[0]
             for vdd in SETTINGS.vdd_values:
                 three = explorer.worst_slacks(configs, vdd, case)
                 two = explorer.lattice_engine.analyze(
@@ -87,7 +87,7 @@ class TestTriState:
         assert np.isinf(explorer.library.delay_factor(Corner(0.6, rbb)))
         configs = all_state_configs(booth8_domained.num_domains, 3)
         assert not configs[0].any()  # row 0: every domain in RBB
-        case = dvas_case(booth8_domained.netlist, max(SETTINGS.bitwidths))
+        case = dvas_case(booth8_domained.netlist, [max(SETTINGS.bitwidths)])[0]
         slack = explorer.worst_slacks(configs[:1], 0.6, case)
         assert slack[0] == -np.inf
 

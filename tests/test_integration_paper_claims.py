@@ -54,7 +54,7 @@ class TestWallOfSlack:
         full = engine.analyze(design.constraint, 0.9, fbb)
         gated = engine.analyze(
             design.constraint, 0.9, fbb,
-            case=dvas_case(design.netlist, 2),
+            case=dvas_case(design.netlist, [2])[0],
         )
         assert gated.worst_slack_ps > full.worst_slack_ps
 

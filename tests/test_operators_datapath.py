@@ -39,7 +39,7 @@ class TestAdequateAdder:
 
     def test_gating_deactivates_low_bits(self):
         netlist = adequate_adder(LIBRARY, width=8)
-        case = dvas_case(netlist, 4)
+        case = dvas_case(netlist, [4])[0]
         s_bus = netlist.output_buses["S"]
         for net in s_bus.nets[:4]:
             assert case.values[net.index] == 0

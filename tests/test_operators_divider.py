@@ -62,7 +62,7 @@ class TestDivider:
         from repro.sta.caseanalysis import dvas_case
 
         netlist = divider(LIBRARY, width=8)
-        case = dvas_case(netlist, 4)
+        case = dvas_case(netlist, [4])[0]
         assert 0.0 < case.constant_fraction() < 1.0
 
     def test_flow_compatible(self):

@@ -24,7 +24,7 @@ class TestSlackOracle:
         report = engine.analyze(
             design.constraint, 1.0,
             np.ones(graph.num_cells, bool),
-            case=dvas_case(design.netlist, 6),
+            case=dvas_case(design.netlist, [6])[0],
         )
         slack = report.cell_slack_ps()
         mean_first = slack[domains == 0].mean()
@@ -106,7 +106,7 @@ class TestSlackBandedPartition:
         report = engine.analyze(
             booth8_domained.constraint, 1.0,
             np.ones(graph.num_cells, bool),
-            case=dvas_case(booth8_domained.netlist, bits),
+            case=dvas_case(booth8_domained.netlist, [bits])[0],
         )
         slack = report.cell_slack_ps()
         threshold = booth8_domained.constraint.period_ps * 0.12

@@ -24,7 +24,7 @@ def booth6():
 
 @pytest.fixture(scope="module")
 def booth6_activity(booth6):
-    return measure_activity(booth6, active_bits=6, cycles=16, batch=16)
+    return measure_activity(booth6, [6], cycles=16, batch=16)[0]
 
 
 class TestLeakage:
@@ -131,9 +131,7 @@ class TestAnalyzer:
     def test_gating_cuts_dynamic_not_leakage(self, booth6, booth6_activity):
         analyzer = PowerAnalyzer(booth6)
         n = len(booth6.cells)
-        gated_activity = measure_activity(
-            booth6, active_bits=2, cycles=16, batch=16
-        )
+        (gated_activity,) = measure_activity(booth6, [2], cycles=16, batch=16)
         full = analyzer.report(booth6_activity, 1.0, 1.0, np.ones(n, bool))
         gated = analyzer.report(gated_activity, 1.0, 1.0, np.ones(n, bool))
         assert gated.dynamic_w < full.dynamic_w

@@ -104,8 +104,8 @@ class TestCaseAnalysisProperties:
     @settings(max_examples=15, deadline=None)
     @given(bits=st.integers(min_value=0, max_value=6))
     def test_constants_grow_as_bits_shrink(self, bits):
-        more_gated = dvas_case(_BOOTH6, bits)
-        less_gated = dvas_case(_BOOTH6, min(bits + 2, 6))
+        more_gated = dvas_case(_BOOTH6, [bits])[0]
+        less_gated = dvas_case(_BOOTH6, [min(bits + 2, 6)])[0]
         # Every net constant at the *larger* bitwidth stays constant at the
         # smaller one (gating more inputs can only add constants).
         stricter = more_gated.values != UNKNOWN
@@ -117,7 +117,7 @@ class TestCaseAnalysisProperties:
     def test_case_analysis_agrees_with_simulation(self, bits):
         """Any net the case analysis calls constant must never toggle in a
         gated random simulation (soundness of the timing filter)."""
-        case = dvas_case(_BOOTH6, bits)
+        case = dvas_case(_BOOTH6, [bits])[0]
         rng = np.random.default_rng(bits)
         a = zero_lsbs(rng.integers(-32, 32, 64), 6, bits)
         b = zero_lsbs(rng.integers(-32, 32, 64), 6, bits)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.operators import booth_multiplier
-from repro.sim.activity import activity_sweep, measure_activity
+from repro.sim.activity import clear_activity_cache, measure_activity
 from repro.sim.errors import compare, error_metrics
 from repro.techlib.library import Library
 
@@ -18,7 +18,7 @@ def booth6():
 
 class TestActivity:
     def test_rates_are_physical(self, booth6):
-        report = measure_activity(booth6, active_bits=6, cycles=16, batch=16)
+        report = measure_activity(booth6, [6], cycles=16, batch=16)[0]
         assert report.rates.shape == (len(booth6.nets),)
         assert np.all(report.rates >= 0.0)
         # Data nets toggle at most once per cycle; only the clock does 2.
@@ -26,30 +26,34 @@ class TestActivity:
         assert np.all(data <= 1.0)
 
     def test_gating_reduces_activity(self, booth6):
-        full = measure_activity(booth6, active_bits=6, cycles=16, batch=16)
-        gated = measure_activity(booth6, active_bits=2, cycles=16, batch=16)
+        full = measure_activity(booth6, [6], cycles=16, batch=16)[0]
+        gated = measure_activity(booth6, [2], cycles=16, batch=16)[0]
         assert gated.rates.sum() < 0.7 * full.rates.sum()
         assert gated.nonzero_fraction() < full.nonzero_fraction()
 
     def test_gated_input_nets_are_silent(self, booth6):
-        gated = measure_activity(booth6, active_bits=2, cycles=16, batch=16)
+        gated = measure_activity(booth6, [2], cycles=16, batch=16)[0]
         for bus in booth6.input_buses.values():
             for net in bus.nets[: bus.width - 2]:
                 assert gated.rates[net.index] == 0.0
 
     def test_deterministic_given_seed(self, booth6):
-        a = measure_activity(booth6, active_bits=4, cycles=12, batch=8, seed=1)
-        b = measure_activity(booth6, active_bits=4, cycles=12, batch=8, seed=1)
+        a = measure_activity(booth6, [4], cycles=12, batch=8, seed=1)[0]
+        b = measure_activity(booth6, [4], cycles=12, batch=8, seed=1)[0]
         assert np.array_equal(a.rates, b.rates)
 
     def test_sweep_covers_requested_bitwidths(self, booth6):
-        sweep = activity_sweep(booth6, (2, 4, 6), cycles=12, batch=8)
-        assert sorted(sweep) == [2, 4, 6]
-        assert all(r.active_bits == b for b, r in sweep.items())
+        """One call reports every requested mode, in request order; a
+        repeated mode is measured once and reported twice."""
+        clear_activity_cache()
+        sweep = measure_activity(booth6, (4, 2, 6, 4), cycles=12, batch=8)
+        assert [r.active_bits for r in sweep] == [4, 2, 6, 4]
+        assert sweep[0] is sweep[3]
+        clear_activity_cache()
 
     def test_too_few_cycles_rejected(self, booth6):
         with pytest.raises(ValueError, match="cycles"):
-            measure_activity(booth6, active_bits=4, cycles=3)
+            measure_activity(booth6, [4], cycles=3)
 
 
 class TestErrorMetrics:

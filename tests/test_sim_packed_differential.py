@@ -235,9 +235,11 @@ class TestOperatorDifferential:
         """DVAS-gated activity reports are engine-independent, bit for bit."""
         clear_activity_cache()
         with interpreted_engine():
-            reference = measure_activity(fir6, active_bits, cycles=10, batch=13)
+            (reference,) = measure_activity(
+                fir6, [active_bits], cycles=10, batch=13
+            )
         clear_activity_cache()
-        result = measure_activity(fir6, active_bits, cycles=10, batch=13)
+        (result,) = measure_activity(fir6, [active_bits], cycles=10, batch=13)
         assert result is not reference
         np.testing.assert_array_equal(result.rates, reference.rates)
         clear_activity_cache()
@@ -280,7 +282,7 @@ class TestEngineSelection:
         with pytest.raises(TypeError, match="engine"):
             LogicSimulator(netlist, SimulationMode.CYCLE, engine="packed")
         with pytest.raises(TypeError, match="engine"):
-            measure_activity(netlist, 2, cycles=8, batch=16, engine="packed")
+            measure_activity(netlist, [2], cycles=8, batch=16, engine="packed")
 
     def test_explicit_packed_raises_on_unsupported_template(self):
         """The packed compile itself refuses the template -- the error
@@ -349,8 +351,8 @@ class TestActivityCache:
         and_net = _tiny_netlist("AND2")
         assert xor_net.content_fingerprint() != and_net.content_fingerprint()
         clear_activity_cache()
-        xor_rates = measure_activity(xor_net, 2, cycles=8, batch=16).rates
-        and_rates = measure_activity(and_net, 2, cycles=8, batch=16).rates
+        xor_rates = measure_activity(xor_net, [2], cycles=8, batch=16)[0].rates
+        and_rates = measure_activity(and_net, [2], cycles=8, batch=16)[0].rates
         assert activity_cache_size() == 2
         assert not np.array_equal(xor_rates, and_rates)
         clear_activity_cache()
@@ -364,8 +366,8 @@ class TestActivityCache:
     def test_cache_hit_returns_same_report(self):
         clear_activity_cache()
         netlist = _tiny_netlist("XOR2")
-        first = measure_activity(netlist, 2, cycles=8, batch=16)
-        again = measure_activity(netlist, 2, cycles=8, batch=16)
+        first = measure_activity(netlist, [2], cycles=8, batch=16)[0]
+        again = measure_activity(netlist, [2], cycles=8, batch=16)[0]
         assert again is first
         assert activity_cache_size() == 1
         clear_activity_cache()
@@ -374,15 +376,15 @@ class TestActivityCache:
         monkeypatch.setattr(activity_module, "ACTIVITY_CACHE_LIMIT", 2)
         clear_activity_cache()
         netlist = _tiny_netlist("XOR2")
-        first = measure_activity(netlist, 1, cycles=8, batch=16)
-        measure_activity(netlist, 2, cycles=8, batch=16)
+        first = measure_activity(netlist, [1], cycles=8, batch=16)[0]
+        measure_activity(netlist, [2], cycles=8, batch=16)
         # Touch mode 1 so mode 2 is the LRU entry, then overflow.
-        assert measure_activity(netlist, 1, cycles=8, batch=16) is first
-        measure_activity(netlist, 3, cycles=8, batch=16)
+        assert measure_activity(netlist, [1], cycles=8, batch=16)[0] is first
+        measure_activity(netlist, [3], cycles=8, batch=16)
         assert activity_cache_size() == 2
-        assert measure_activity(netlist, 1, cycles=8, batch=16) is first
+        assert measure_activity(netlist, [1], cycles=8, batch=16)[0] is first
         # Mode 2 was evicted: recomputing it is a miss (new object).
-        second = measure_activity(netlist, 2, cycles=8, batch=16)
+        second = measure_activity(netlist, [2], cycles=8, batch=16)[0]
         assert activity_cache_size() == 2
-        assert measure_activity(netlist, 2, cycles=8, batch=16) is second
+        assert measure_activity(netlist, [2], cycles=8, batch=16)[0] is second
         clear_activity_cache()

@@ -51,7 +51,7 @@ class TestBatchMatchesSingle:
         """The core soundness check of the exploration speed trick."""
         netlist, graph, insertion = domained_booth
         constraint = ClockConstraint(1200.0)
-        case = dvas_case(netlist, bits)
+        case = dvas_case(netlist, [bits])[0]
         lattice = LatticeStaEngine(graph, LIBRARY, insertion.domains, 4)
         result = lattice.analyze(constraint, vdd, case=case)
         single = StaEngine(graph, LIBRARY)

@@ -92,7 +92,7 @@ class TestSequentialFixpoint:
         through the whole delay line, accumulator and beyond."""
         params = FirParameters(taps=4, width=8)
         netlist = fir_filter(LIBRARY, params)
-        case = dvas_case(netlist, active_bits=4)
+        case = dvas_case(netlist, [4])[0]
         # Every delay-line register of a gated bit must be constant zero.
         constant_regs = 0
         for cell in netlist.sequential_cells:
@@ -104,7 +104,7 @@ class TestSequentialFixpoint:
     def test_counter_stays_active(self):
         params = FirParameters(taps=4, width=8)
         netlist = fir_filter(LIBRARY, params)
-        case = dvas_case(netlist, active_bits=2)
+        case = dvas_case(netlist, [2])[0]
         tap_bus = netlist.output_buses["TAP"]
         for net in tap_bus.nets:
             assert case.values[net.index] == UNKNOWN
@@ -113,7 +113,7 @@ class TestSequentialFixpoint:
 class TestDvasCase:
     def test_forces_low_bits_of_every_bus(self):
         netlist = booth_multiplier(LIBRARY, width=8)
-        case = dvas_case(netlist, active_bits=3)
+        case = dvas_case(netlist, [3])[0]
         for bus in netlist.input_buses.values():
             for net in bus.nets[:5]:
                 assert case.values[net.index] == ZERO
@@ -122,7 +122,7 @@ class TestDvasCase:
 
     def test_product_lsbs_become_constant(self):
         netlist = booth_multiplier(LIBRARY, width=8, registered=False)
-        case = dvas_case(netlist, active_bits=4)
+        case = dvas_case(netlist, [4])[0]
         product = netlist.output_buses["P"]
         # Structurally provable zeros: the bottom 4 product bits (multiples
         # of the gated multiplicand LSBs).  Bits 4..7 are also zero
@@ -137,14 +137,14 @@ class TestDvasCase:
     def test_constant_fraction_monotone_in_gating(self):
         netlist = booth_multiplier(LIBRARY, width=8)
         fractions = [
-            dvas_case(netlist, bits).constant_fraction()
+            dvas_case(netlist, [bits])[0].constant_fraction()
             for bits in (8, 6, 4, 2)
         ]
         assert fractions == sorted(fractions)
 
     def test_per_bus_override(self):
         netlist = booth_multiplier(LIBRARY, width=8)
-        case = dvas_case(netlist, active_bits=8, buses={"A": 2})
+        case = dvas_case(netlist, [8], buses={"A": 2})[0]
         a = netlist.input_buses["A"]
         b = netlist.input_buses["B"]
         assert case.values[a.nets[0].index] == ZERO
@@ -186,7 +186,7 @@ class TestSensitization:
         """At full bitwidth nothing is gated, so the only inactive arcs
         belong to cells with a structurally constant (tie) side input."""
         netlist = booth_multiplier(LIBRARY, width=4)
-        case = dvas_case(netlist, active_bits=4)
+        case = dvas_case(netlist, [4])[0]
         graph = compile_timing_graph(netlist)
         mask = case.active_arc_mask(graph)
         assert mask.mean() > 0.9

@@ -130,7 +130,7 @@ class TestCaseAnalysisIntegration:
         fbb = np.ones(graph.num_cells, bool)
         delays = [
             engine.critical_path_delay(
-                1.0, fbb, case=dvas_case(netlist, bits)
+                1.0, fbb, case=dvas_case(netlist, [bits])[0]
             )
             for bits in (8, 6, 4, 2, 1)
         ]
@@ -141,7 +141,7 @@ class TestCaseAnalysisIntegration:
         graph = compile_timing_graph(netlist)
         engine = StaEngine(graph, LIBRARY)
         fbb = np.ones(graph.num_cells, bool)
-        case = dvas_case(netlist, 4)
+        case = dvas_case(netlist, [4])[0]
         full_delay = engine.critical_path_delay(1.0, fbb)
         report = engine.analyze(
             ClockConstraint(full_delay * 0.8), 1.0, fbb, case=case
@@ -193,7 +193,7 @@ class TestHistogram:
         graph = compile_timing_graph(netlist)
         engine = StaEngine(graph, LIBRARY)
         fbb = np.ones(graph.num_cells, bool)
-        case = dvas_case(netlist, 0)  # everything gated
+        case = dvas_case(netlist, [0])[0]  # everything gated
         report = engine.analyze(ClockConstraint(1000.0), 1.0, fbb, case=case)
         hist = slack_histogram(report)
         assert hist.total == 0

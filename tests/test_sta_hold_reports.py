@@ -75,7 +75,7 @@ class TestHold:
         netlist = booth_multiplier(LIBRARY, width=6)
         graph = compile_timing_graph(netlist)
         analyzer = HoldAnalyzer(graph, LIBRARY)
-        case = dvas_case(netlist, 2)
+        case = dvas_case(netlist, [2])[0]
         gated = analyzer.analyze(1.0, np.ones(graph.num_cells, bool), case=case)
         full = analyzer.analyze(1.0, np.ones(graph.num_cells, bool))
         assert gated.endpoint_active.sum() < full.endpoint_active.sum()
@@ -128,7 +128,7 @@ class TestReportTiming:
     def test_gated_paths_avoid_constant_logic(self, engine):
         netlist = engine.graph.netlist
         fbb = np.ones(engine.graph.num_cells, bool)
-        case = dvas_case(netlist, 3)
+        case = dvas_case(netlist, [3])[0]
         path = report_timing(
             engine, ClockConstraint(1000.0), 1.0, fbb, case=case
         )[0]
@@ -139,7 +139,7 @@ class TestReportTiming:
     def test_fully_gated_design_has_no_paths(self, engine):
         netlist = engine.graph.netlist
         fbb = np.ones(engine.graph.num_cells, bool)
-        case = dvas_case(netlist, 0)
+        case = dvas_case(netlist, [0])[0]
         paths = report_timing(
             engine, ClockConstraint(1000.0), 1.0, fbb, case=case
         )

@@ -66,8 +66,8 @@ def cases_for(design):
     width = max(bus.width for bus in design.netlist.input_buses.values())
     return {
         "full": None,
-        "half": dvas_case(design.netlist, width // 2),
-        "two": dvas_case(design.netlist, 2),
+        "half": dvas_case(design.netlist, [width // 2])[0],
+        "two": dvas_case(design.netlist, [2])[0],
     }
 
 
@@ -137,7 +137,7 @@ def test_memoized_case_schedule_reused_bit_identically(operator, designs):
     analyze must reuse it (same object) and reproduce the same bits."""
     design = designs[operator]
     engine = lattice_engine(design)
-    case = dvas_case(design.netlist, 3)
+    case = dvas_case(design.netlist, [3])[0]
     first = engine.analyze(design.constraint, 0.8, case=case)
     assert case._schedule_cache, "case schedule should be memoized"
     cached = next(iter(case._schedule_cache.values()))

@@ -34,7 +34,7 @@ def booth8():
 @pytest.fixture(scope="module")
 def booth8_case(booth8):
     netlist, _ = booth8
-    return dvas_case(netlist, 4)
+    return dvas_case(netlist, [4])[0]
 
 
 # ---------------------------------------------------------------------------
