@@ -95,6 +95,17 @@ def _design_factory(name: str, width: int, library: Library) -> Callable:
         )
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_grid(text: str) -> GridPartition:
     try:
         rows, cols = text.lower().split("x")
@@ -209,6 +220,13 @@ def cmd_report_timing(args) -> int:
     from repro.sta.engine import StaEngine
     from repro.sta.report_timing import report_timing
 
+    if args.bits is not None and not 1 <= args.bits <= args.width:
+        print(
+            f"error: --bits must be between 1 and --width ({args.width}), "
+            f"got {args.bits}",
+            file=sys.stderr,
+        )
+        return 2
     library = Library()
     factory = _design_factory(args.design, args.width, library)
     design = implement_base(factory, library)
@@ -419,11 +437,18 @@ def cmd_serve(args) -> int:
             return server.stats()
 
     async def forever() -> None:
+        # SIGINT/SIGTERM end the wait from inside the loop.  A signal
+        # handler that raises KeyboardInterrupt can interrupt the loop's
+        # own callbacks; asyncio.run's task cancellation was then seen to
+        # wait forever, and the server never exited.
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
         async with server:
             print(f"serving on {args.host}:{server.port} (ctrl-c to stop)")
             print(f"REPRO_SERVE_PORT={server.port}", flush=True)
-            while True:
-                await asyncio.sleep(3600)
+            await stop.wait()
 
     if args.soak or args.trace:
         stats = asyncio.run(soak())
@@ -450,7 +475,8 @@ def cmd_serve(args) -> int:
     try:
         asyncio.run(forever())
     except KeyboardInterrupt:
-        print("\nshutting down")
+        pass
+    print("\nshutting down")
     return 0
 
 
@@ -1028,8 +1054,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="virtual-time horizon of the fault schedule (keep it close "
         "to the soak's served virtual time so events overlap it)",
     )
-    p.add_argument("--operators", type=int, default=3)
-    p.add_argument("--requests", type=int, default=96)
+    p.add_argument("--operators", type=_positive_int, default=3)
+    p.add_argument("--requests", type=_positive_int, default=96)
     p.add_argument(
         "--margin-samples",
         type=int,

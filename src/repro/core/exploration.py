@@ -112,9 +112,6 @@ class ExplorationResult:
         """Best operating point per bitwidth, sorted by bitwidth."""
         return [self.best_per_bitwidth[b] for b in sorted(self.best_per_bitwidth)]
 
-    def power_at(self, bits: int) -> float:
-        return self.best_per_bitwidth[bits].total_power_w
-
     def best_at(self, bits: int, vdd: float) -> Optional[OperatingPoint]:
         """Cheapest feasible point at one (bitwidth, VDD), or None.
 

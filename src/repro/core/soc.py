@@ -20,10 +20,10 @@ compares the two strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.config import ExplorationSettings, OperatingPoint
-from repro.core.exploration import ExhaustiveExplorer, ExplorationResult
+from repro.core.config import OperatingPoint
+from repro.core.exploration import ExplorationResult
 from repro.core.flow import ImplementedDesign
 
 try:  # typing-only import; avoids a cycle at runtime
@@ -118,34 +118,6 @@ class SystemPoint:
             f"{self.operator_power_w * 1e3:.3f} mW operators{shifters} "
             f"= {self.total_power_w * 1e3:.3f} mW"
         )
-
-
-def build_slots(
-    designs: Mapping[str, ImplementedDesign],
-    required_bits: Mapping[str, int],
-    settings: Optional[ExplorationSettings] = None,
-) -> List[OperatorSlot]:
-    """Explore every operator and wrap the results as composer slots.
-
-    The settings' execution knobs thread straight through: with
-    ``workers``/``cache`` set, each operator's mode-table sweep runs on
-    the sharded engine and persists, so re-composing a system after
-    changing one operator only re-explores that operator.
-    """
-    if settings is None:
-        settings = ExplorationSettings()
-    missing = sorted(set(designs) - set(required_bits))
-    if missing:
-        raise ValueError(f"no required_bits for operators: {missing}")
-    return [
-        OperatorSlot(
-            name=name,
-            design=design,
-            exploration=ExhaustiveExplorer(design).run(settings),
-            required_bits=required_bits[name],
-        )
-        for name, design in designs.items()
-    ]
 
 
 class SocComposer:

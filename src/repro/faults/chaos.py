@@ -151,6 +151,8 @@ def run_serve_chaos(
 
     if num_operators < 1:
         raise ValueError("need at least one operator")
+    if requests < 1:
+        raise ValueError("need at least one request")
     if recalibrate and retreat_only:
         raise ValueError(
             "recalibrate and retreat_only are mutually exclusive"

@@ -1,29 +1,21 @@
-"""Interchange-format writers: Liberty, DEF, SPEF, VCD.
+"""Files in and out: the Liberty writer and the flow's JSON artifacts.
 
-These emit the standard file formats a physical-design ecosystem expects,
-so results of this flow can be inspected with ordinary EDA viewers or fed
-to external tools: the characterized library as ``.lib``, placements as
-DEF, extracted wire parasitics as SPEF, and simulation traces as VCD.
-All writers are intentionally minimal, producing the widely supported core
-of each format.
+:func:`write_liberty` emits the characterized library as a ``.lib`` for
+ordinary EDA tools; :mod:`repro.io.results` saves and loads exploration
+results and mode tables, the artifacts that ``explore`` and
+``compile-table`` write and ``serve``/``replay`` read.
 """
 
 from repro.io.liberty import write_liberty
-from repro.io.defio import write_def
 from repro.io.results import (
     load_exploration,
     load_mode_table,
     save_exploration,
     save_mode_table,
 )
-from repro.io.spef import write_spef
-from repro.io.vcd import write_vcd
 
 __all__ = [
     "write_liberty",
-    "write_def",
-    "write_spef",
-    "write_vcd",
     "save_exploration",
     "load_exploration",
     "save_mode_table",

@@ -14,7 +14,6 @@ from repro.netlist.builder import NetlistBuilder
 from repro.netlist.validate import validate_netlist, NetlistError
 from repro.netlist.verilog import write_verilog, read_verilog
 from repro.netlist.transform import buffer_high_fanout
-from repro.netlist.equivalence import check_equivalent, EquivalenceResult
 
 __all__ = [
     "Net",
@@ -28,6 +27,4 @@ __all__ = [
     "write_verilog",
     "read_verilog",
     "buffer_high_fanout",
-    "check_equivalent",
-    "EquivalenceResult",
 ]

@@ -17,11 +17,9 @@ they are assembled from.
 from repro.operators.adders import (
     ripple_carry_adder,
     kogge_stone_adder,
-    brent_kung_adder,
     carry_select_adder,
     subtractor,
 )
-from repro.operators.multiplier import array_multiplier
 from repro.operators.booth import booth_multiplier
 from repro.operators.fir import fir_filter, FirParameters
 from repro.operators.butterfly import fft_butterfly
@@ -33,10 +31,8 @@ from repro.operators.divider import divider
 __all__ = [
     "ripple_carry_adder",
     "kogge_stone_adder",
-    "brent_kung_adder",
     "carry_select_adder",
     "subtractor",
-    "array_multiplier",
     "booth_multiplier",
     "fir_filter",
     "FirParameters",

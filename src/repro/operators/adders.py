@@ -1,4 +1,4 @@
-"""Adder generators: ripple-carry, Kogge-Stone, Brent-Kung, subtractor.
+"""Adder generators: ripple-carry, Kogge-Stone, carry-select, subtractor.
 
 All functions take bit lists LSB first and return bit lists LSB first.
 They add gates to an existing :class:`~repro.netlist.builder.NetlistBuilder`
@@ -62,12 +62,10 @@ def _prefix_combine(
     p_hi: Net,
     g_lo: Net,
     p_lo: Net,
-    need_p: bool,
-) -> Tuple[Net, Optional[Net]]:
+) -> Tuple[Net, Net]:
     """The associative prefix operator (g, p) o (g', p')."""
     g_out = builder.or2(g_hi, builder.and2(p_hi, g_lo))
-    p_out = builder.and2(p_hi, p_lo) if need_p else None
-    return g_out, p_out
+    return g_out, builder.and2(p_hi, p_lo)
 
 
 def _sum_from_carries(
@@ -106,8 +104,7 @@ def kogge_stone_adder(
             if i == top and not need_cout:
                 continue
             g_new, p_new = _prefix_combine(
-                builder, g_pfx[i], p_pfx[i], g_pfx[i - distance], p_pfx[i - distance],
-                need_p=True,
+                builder, g_pfx[i], p_pfx[i], g_pfx[i - distance], p_pfx[i - distance]
             )
             next_g[i] = g_new
             next_p[i] = p_new
@@ -126,68 +123,6 @@ def kogge_stone_adder(
             )
         cout = (
             builder.or2(g_pfx[-1], builder.and2(p_pfx[-1], cin))
-            if need_cout
-            else None
-        )
-    sums = _sum_from_carries(builder, p, carries)
-    return sums, cout
-
-
-def brent_kung_adder(
-    builder: NetlistBuilder,
-    a: List[Net],
-    b: List[Net],
-    cin: Optional[Net] = None,
-    need_cout: bool = True,
-) -> Tuple[List[Net], Optional[Net]]:
-    """Brent-Kung parallel-prefix adder; returns (sum, carry out).
-
-    About half the prefix nodes of Kogge-Stone at roughly twice the prefix
-    depth -- the area-efficient fast adder, used where the adder is not the
-    critical path.  ``need_cout=False`` skips the prefix nodes only the
-    carry out needs and returns ``None`` for it.
-    """
-    width = _check_widths(a, b)
-    p, g = _propagate_generate(builder, a, b)
-    g_span = list(g)  # g_span[i], p_span[i]: (g,p) over a power-of-two span ending at i
-    p_span = list(p)
-    top = width - 1
-
-    # Up-sweep: build power-of-two spans.
-    distance = 1
-    while distance < width:
-        for i in range(2 * distance - 1, width, 2 * distance):
-            if i == top and not need_cout:
-                continue
-            g_new, p_new = _prefix_combine(
-                builder, g_span[i], p_span[i],
-                g_span[i - distance], p_span[i - distance], need_p=True,
-            )
-            g_span[i], p_span[i] = g_new, p_new
-        distance *= 2
-
-    # Down-sweep: fill in the remaining prefixes.
-    distance //= 2
-    while distance >= 1:
-        for i in range(3 * distance - 1, width, 2 * distance):
-            if i == top and not need_cout:
-                continue
-            g_new, p_new = _prefix_combine(
-                builder, g_span[i], p_span[i],
-                g_span[i - distance], p_span[i - distance], need_p=True,
-            )
-            g_span[i], p_span[i] = g_new, p_new
-        distance //= 2
-
-    if cin is None:
-        carries = [builder.const(False)] + g_span[:-1]
-        cout = g_span[-1] if need_cout else None
-    else:
-        carries = [cin]
-        for i in range(width - 1):
-            carries.append(builder.or2(g_span[i], builder.and2(p_span[i], cin)))
-        cout = (
-            builder.or2(g_span[-1], builder.and2(p_span[-1], cin))
             if need_cout
             else None
         )

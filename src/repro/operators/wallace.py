@@ -11,16 +11,6 @@ from repro.netlist.net import Net
 BitColumns = List[List[Net]]
 
 
-def reduction_stages(columns: BitColumns) -> int:
-    """Number of Wallace stages needed to reduce *columns* to height 2."""
-    height = max((len(col) for col in columns), default=0)
-    stages = 0
-    while height > 2:
-        height = 2 * (height // 3) + height % 3
-        stages += 1
-    return stages
-
-
 def wallace_reduce(
     builder: NetlistBuilder, columns: BitColumns
 ) -> Tuple[List[Net], List[Net]]:

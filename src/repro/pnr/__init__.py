@@ -9,7 +9,9 @@ Provides what the paper's methodology actually needs from physical design:
 * the regular-grid Vth/BB domain partitioner with guardband insertion and
   incremental re-placement (:mod:`grid`, :mod:`incremental`),
 * slack-driven gate sizing -- the timing-fix/power-recovery optimizer whose
-  power recovery is what creates the wall of slack (:mod:`sizing`).
+  power recovery is what creates the wall of slack (:mod:`sizing`),
+* alternative domain constructions the grid is compared against
+  (:mod:`partition`).
 """
 
 from repro.pnr.floorplan import Floorplan

@@ -42,10 +42,6 @@ class ActivityReport:
     batch: int
     rates: np.ndarray
 
-    @property
-    def mean_rate(self) -> float:
-        return float(self.rates.mean())
-
     def nonzero_fraction(self) -> float:
         """Fraction of nets that toggle at all (constants under LSB gating
         never toggle, so this drops as accuracy drops)."""

@@ -29,14 +29,6 @@ def multiply_reference(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
     return _wrap_signed(a * b, 2 * width)
 
 
-def multiply_unsigned_reference(
-    a: np.ndarray, b: np.ndarray, width: int
-) -> np.ndarray:
-    """Unsigned product of two *width*-bit words."""
-    modulus = 1 << width
-    return (np.mod(a, modulus) * np.mod(b, modulus)) % (modulus * modulus)
-
-
 def butterfly_reference(
     ar: np.ndarray, ai: np.ndarray,
     br: np.ndarray, bi: np.ndarray,

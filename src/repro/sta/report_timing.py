@@ -40,10 +40,6 @@ class TimingPath:
     required_ps: float
 
     @property
-    def launch_net(self) -> str:
-        return self.stages[0].net_name
-
-    @property
     def arrival_ps(self) -> float:
         return self.stages[-1].arrival_ps
 

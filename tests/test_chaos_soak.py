@@ -127,6 +127,12 @@ class TestServeSoak:
                 build_margined_table(), FaultSchedule([]), num_operators=0
             )
 
+    def test_request_count_validated(self):
+        with pytest.raises(ValueError, match="request"):
+            run_serve_chaos(
+                build_margined_table(), FaultSchedule([]), requests=0
+            )
+
     def test_report_serializes(self):
         report = run_serve_chaos(
             build_margined_table(), FaultSchedule([]), requests=6

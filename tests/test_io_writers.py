@@ -1,25 +1,13 @@
-"""Interchange writers: Liberty, DEF, SPEF, VCD."""
+"""Liberty writer and the JSON artifacts of repro.io."""
 
 import io
 
-import numpy as np
 import pytest
 
-from repro.io import write_def, write_liberty, write_spef, write_vcd
-from repro.operators import booth_multiplier
-from repro.pnr.parasitics import extract_parasitics
-from repro.pnr.placer import GlobalPlacer
-from repro.sim.simulator import LogicSimulator, SimulationMode
+from repro.io import write_liberty
 from repro.techlib.library import Library
 
 LIBRARY = Library()
-
-
-@pytest.fixture(scope="module")
-def placed():
-    netlist = booth_multiplier(LIBRARY, width=6)
-    placement = GlobalPlacer(netlist, seed=9).run()
-    return netlist, placement, extract_parasitics(placement)
 
 
 class TestLiberty:
@@ -58,116 +46,6 @@ class TestLiberty:
         assert "ff (IQ, IQN)" in text
         assert "setup_rising" in text
         assert "rising_edge" in text
-
-
-class TestDef:
-    def test_structure(self, placed):
-        netlist, placement, _parasitics = placed
-        stream = io.StringIO()
-        write_def(placement, stream)
-        text = stream.getvalue()
-        assert f"DESIGN {netlist.name} ;" in text
-        assert f"COMPONENTS {len(netlist.cells)} ;" in text
-        assert "END COMPONENTS" in text
-        assert "DIEAREA ( 0 0 )" in text
-        assert text.count("+ PLACED") >= len(netlist.cells)
-
-    def test_positions_in_database_units(self, placed):
-        netlist, placement, _parasitics = placed
-        stream = io.StringIO()
-        write_def(placement, stream)
-        text = stream.getvalue()
-        cell = netlist.cells[0]
-        line = next(
-            l for l in text.splitlines() if l.strip().startswith(f"- {cell.name} ")
-        )
-        # Coordinates must fit on the die in DBU.
-        coords = line.split("(")[1].split(")")[0].split()
-        assert 0 <= int(coords[0]) <= placement.floorplan.width_um * 1000
-
-    def test_domain_property(self, placed):
-        from repro.pnr.grid import GridPartition, insert_domains
-
-        netlist, placement, _parasitics = placed
-        result = insert_domains(placement, GridPartition(2, 2))
-        stream = io.StringIO()
-        write_def(result.placement, stream)
-        assert "+ PROPERTY vth_domain" in stream.getvalue()
-
-
-class TestSpef:
-    def test_structure_and_units(self, placed):
-        netlist, _placement, parasitics = placed
-        stream = io.StringIO()
-        write_spef(netlist, parasitics, stream)
-        text = stream.getvalue()
-        assert '*SPEF "IEEE 1481-1998"' in text
-        assert "*C_UNIT 1 FF" in text
-        assert "*NAME_MAP" in text
-        assert text.count("*D_NET") > 0
-
-    def test_total_cap_recoverable(self, placed):
-        netlist, _placement, parasitics = placed
-        stream = io.StringIO()
-        write_spef(netlist, parasitics, stream)
-        total = 0.0
-        for line in stream.getvalue().splitlines():
-            if line.startswith("*D_NET"):
-                total += float(line.split()[2])
-        assert total == pytest.approx(parasitics.total_wire_cap_ff, rel=1e-3)
-
-
-class TestVcd:
-    def _trace(self):
-        netlist = booth_multiplier(LIBRARY, width=4)
-        sim = LogicSimulator(netlist, SimulationMode.CYCLE)
-        rng = np.random.default_rng(0)
-        stim = [
-            {"A": rng.integers(-8, 8, 3), "B": rng.integers(-8, 8, 3)}
-            for _ in range(6)
-        ]
-        return netlist, sim.run_cycles(stim, collect_net_values=True)
-
-    def test_header_and_timesteps(self):
-        netlist, trace = self._trace()
-        stream = io.StringIO()
-        write_vcd(trace, stream)
-        text = stream.getvalue()
-        assert "$enddefinitions $end" in text
-        assert "$dumpvars" in text
-        assert text.count("$var wire 1") == len(netlist.nets)
-        assert "#0\n" in text
-
-    def test_net_subset(self):
-        netlist, trace = self._trace()
-        stream = io.StringIO()
-        write_vcd(trace, stream, nets=["A[0]", "A[1]"])
-        assert stream.getvalue().count("$var wire 1") == 2
-
-    def test_requires_collected_values(self):
-        netlist = booth_multiplier(LIBRARY, width=4)
-        sim = LogicSimulator(netlist, SimulationMode.CYCLE)
-        trace = sim.run_cycles(
-            [{"A": np.asarray([1]), "B": np.asarray([1])}] * 2
-        )
-        with pytest.raises(ValueError, match="collect_net_values"):
-            write_vcd(trace, io.StringIO())
-
-    def test_bad_batch_index(self):
-        _netlist, trace = self._trace()
-        with pytest.raises(ValueError, match="batch index"):
-            write_vcd(trace, io.StringIO(), batch_index=99)
-
-    def test_value_changes_only(self):
-        """A net that never toggles appears once (in $dumpvars)."""
-        netlist = booth_multiplier(LIBRARY, width=4)
-        sim = LogicSimulator(netlist, SimulationMode.CYCLE)
-        stim = [{"A": np.asarray([3]), "B": np.asarray([5])}] * 6
-        trace = sim.run_cycles(stim, collect_net_values=True)
-        stream = io.StringIO()
-        write_vcd(trace, stream, nets=["A[0]"])
-        body = stream.getvalue().split("$enddefinitions $end")[1]
-        assert body.count("1!") + body.count("0!") == 1
 
 
 def _synthetic_exploration():

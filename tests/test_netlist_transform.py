@@ -1,4 +1,4 @@
-"""High-fanout buffering: compliance and functional equivalence."""
+"""High-fanout buffering and resizing: compliance and functional equivalence."""
 
 import numpy as np
 import pytest
@@ -48,6 +48,17 @@ def test_buffering_preserves_function(library):
     sim = LogicSimulator(netlist, SimulationMode.TRANSPARENT)
     out = sim.run_combinational({"A": a, "B": b})["P"]
     assert np.array_equal(out, golden.multiply_reference(a, b, 8))
+
+
+def test_resizing_preserves_function(library):
+    netlist = booth_multiplier(library, width=6, registered=False)
+    for cell in netlist.cells[::3]:
+        cell.set_drive("X4")
+    a, b = np.meshgrid(np.arange(-32, 32), np.arange(-32, 32))
+    a, b = a.ravel(), b.ravel()
+    sim = LogicSimulator(netlist, SimulationMode.TRANSPARENT)
+    out = sim.run_combinational({"A": a, "B": b})["P"]
+    assert np.array_equal(out, golden.multiply_reference(a, b, 6))
 
 
 def test_buffering_is_idempotent(library):

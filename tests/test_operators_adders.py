@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netlist.builder import NetlistBuilder
 from repro.operators.adders import (
-    brent_kung_adder,
     carry_select_adder,
     kogge_stone_adder,
     ripple_carry_adder,
@@ -22,7 +21,6 @@ LIBRARY = Library()
 ADDERS = {
     "ripple": ripple_carry_adder,
     "kogge_stone": kogge_stone_adder,
-    "brent_kung": brent_kung_adder,
     "carry_select": carry_select_adder,
 }
 
@@ -143,13 +141,3 @@ class TestStructure:
         a = builder.input_bus("A", 4)
         with pytest.raises(ValueError):
             sign_extend(a, 2)
-
-    def test_brent_kung_smaller_than_kogge_stone(self):
-        sizes = {}
-        for name in ("kogge_stone", "brent_kung"):
-            builder = NetlistBuilder("t", LIBRARY)
-            a = builder.input_bus("A", 32)
-            b = builder.input_bus("B", 32)
-            ADDERS[name](builder, a, b)
-            sizes[name] = len(builder.netlist.cells)
-        assert sizes["brent_kung"] < sizes["kogge_stone"]

@@ -7,13 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netlist.builder import NetlistBuilder
-from repro.operators import array_multiplier, booth_multiplier
+from repro.operators import booth_multiplier
 from repro.operators.encoding import booth_encode
-from repro.operators.wallace import (
-    columns_from_rows,
-    reduction_stages,
-    wallace_reduce,
-)
+from repro.operators.wallace import columns_from_rows, wallace_reduce
 from repro.sim import golden
 from repro.sim.simulator import LogicSimulator, SimulationMode
 from repro.techlib.library import Library
@@ -87,19 +83,6 @@ def _cached_booth16():
     return _BOOTH16_SIM
 
 
-class TestArrayMultiplier:
-    @pytest.mark.parametrize("width", [2, 4, 5])
-    def test_exhaustive_unsigned(self, width):
-        netlist = array_multiplier(LIBRARY, width=width, registered=False)
-        sim = LogicSimulator(netlist, SimulationMode.TRANSPARENT)
-        a, b = np.meshgrid(np.arange(1 << width), np.arange(1 << width))
-        a, b = a.ravel(), b.ravel()
-        out = sim.run_combinational({"A": a, "B": b}, signed=False)["P"]
-        assert np.array_equal(
-            out, golden.multiply_unsigned_reference(a, b, width)
-        )
-
-
 class TestBoothEncoding:
     def test_group_count(self):
         builder = NetlistBuilder("t", LIBRARY)
@@ -148,11 +131,6 @@ class TestBoothEncoding:
 
 
 class TestWallace:
-    def test_reduction_stage_count(self):
-        columns = [[None] * 9 for _ in range(4)]
-        # 9 -> 6 -> 4 -> 3 -> 2: four stages.
-        assert reduction_stages(columns) == 4
-
     def test_columns_from_rows_discards_overflow(self):
         builder = NetlistBuilder("t", LIBRARY)
         a = builder.input_bus("A", 4)

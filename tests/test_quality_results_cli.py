@@ -1,17 +1,12 @@
-"""Quality-aware selection, JSON persistence and the CLI."""
+"""Exploration JSON persistence and the CLI."""
 
 import io
 import json
 
-import numpy as np
 import pytest
 
 from repro.core.config import ExplorationSettings
 from repro.core.exploration import ExhaustiveExplorer
-from repro.core.quality import (
-    characterize_quality,
-    select_mode_for_snr,
-)
 from repro.io.results import load_exploration, save_exploration
 from repro.cli import build_parser, main
 
@@ -23,49 +18,6 @@ SETTINGS = ExplorationSettings(
 @pytest.fixture(scope="module")
 def exploration(booth8_domained):
     return ExhaustiveExplorer(booth8_domained).run(SETTINGS)
-
-
-@pytest.fixture(scope="module")
-def quality():
-    return characterize_quality(
-        lambda a, b: a * b, width=8, bitwidths=(2, 4, 6, 8)
-    )
-
-
-class TestQuality:
-    def test_snr_monotone_in_bits(self, quality):
-        snrs = [quality.reports[b].snr_db for b in (2, 4, 6, 8)]
-        assert snrs == sorted(snrs)
-
-    def test_min_bits_for_snr(self, quality):
-        modest = quality.min_bits_for_snr(10.0)
-        strict = quality.min_bits_for_snr(30.0)
-        assert modest <= strict
-        assert quality.reports[strict].snr_db >= 30.0
-
-    def test_unreachable_snr_raises(self):
-        # A table that stops short of full precision has a finite SNR cap.
-        truncated = characterize_quality(
-            lambda a, b: a * b, width=8, bitwidths=(2, 4, 6)
-        )
-        with pytest.raises(ValueError, match="no bitwidth"):
-            truncated.min_bits_for_snr(1000.0)
-
-    def test_min_bits_for_rmse(self, quality):
-        bits = quality.min_bits_for_rmse(quality.reports[6].rmse + 1.0)
-        assert bits <= 6
-
-    def test_select_mode_combines_both_tables(self, exploration, quality):
-        selection = select_mode_for_snr(exploration, quality, snr_db=15.0)
-        assert selection.point.active_bits >= selection.required_bits
-        assert "SNR" in selection.describe()
-        # A stricter budget can only cost at least as much power.
-        strict = select_mode_for_snr(exploration, quality, snr_db=35.0)
-        assert strict.point.total_power_w >= selection.point.total_power_w
-
-    def test_format_text(self, quality):
-        text = quality.format_text()
-        assert "SNR" in text and "RMSE" in text
 
 
 class TestResultsJson:
@@ -215,3 +167,34 @@ class TestCli:
     def test_bad_grid_rejected(self):
         with pytest.raises(SystemExit):
             main(["explore", "--design", "adder", "--grid", "circle"])
+
+    @pytest.mark.parametrize("bits", ["99", "5", "0", "-1"])
+    def test_report_timing_bits_outside_width_rejected(self, capsys, bits):
+        code = main(
+            [
+                "report-timing", "--design", "adder", "--width", "4",
+                "--bits", bits,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --bits must be between 1 and --width (4), got {bits}\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--requests", "--operators"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_chaos_counts_must_be_positive(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "chaos", "--design", "adder", "--width", "4",
+                    "--grid", "2x1", "--serve-only", f"{flag}={value}",
+                ]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro chaos")
+        assert f"error: argument {flag}: must be at least 1, got {value}" in err
+        assert "Traceback" not in err

@@ -2,9 +2,16 @@
 
 import asyncio
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.io.results import save_mode_table
 from repro.serve.scheduler import ModeScheduler
 from repro.serve.server import AccuracyServer, phase_to_dict
 from tests.conftest import build_synthetic_table
@@ -277,6 +284,46 @@ class TestLifecycle:
         server = make_server()
         with pytest.raises(RuntimeError, match="not listening"):
             server.port
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGTERM, signal.SIGINT], ids=["sigterm", "sigint"]
+    )
+    def test_signal_after_a_request_exits_cleanly(self, tmp_path, signum):
+        table_path = tmp_path / "table.json"
+        with open(table_path, "w") as stream:
+            save_mode_table(build_synthetic_table(), stream)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--table",
+             str(table_path), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            for line in proc.stdout:
+                if line.startswith("REPRO_SERVE_PORT="):
+                    port = int(line.split("=", 1)[1])
+                    break
+            else:
+                pytest.fail("serve exited before listening")
+            with socket.create_connection(("127.0.0.1", port), 10) as sock:
+                sock.sendall(b'{"cmd": "stats"}\n')
+                assert b"counters" in sock.makefile("rb").readline()
+            proc.send_signal(signum)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "shutting down" in out
+        assert "Traceback" not in err
 
 
 class TestWireFormat:
