@@ -107,11 +107,14 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_grid(text: str) -> GridPartition:
+    """argparse ``type=`` for ``--grid``: ``RxC`` with R, C >= 1."""
     try:
         rows, cols = text.lower().split("x")
         return GridPartition(int(rows), int(cols))
     except (ValueError, TypeError):
-        raise SystemExit(f"bad grid {text!r}; expected e.g. 2x2")
+        raise argparse.ArgumentTypeError(
+            f"bad grid {text!r}; expected e.g. 2x2"
+        )
 
 
 @contextlib.contextmanager
@@ -160,7 +163,7 @@ def cmd_explore(args) -> int:
     factory = _design_factory(args.design, args.width, library)
     constraint = select_clock_for(factory, library)
     design = implement_with_domains(
-        factory, library, _parse_grid(args.grid), constraint=constraint
+        factory, library, args.grid, constraint=constraint
     )
     print(design.describe())
     result = ExhaustiveExplorer(design).run(_settings(args))
@@ -187,7 +190,7 @@ def cmd_compare(args) -> int:
     constraint = select_clock_for(factory, library)
     base = implement_base(factory, library, constraint=constraint)
     domained = implement_with_domains(
-        factory, library, _parse_grid(args.grid), constraint=constraint
+        factory, library, args.grid, constraint=constraint
     )
     settings = _settings(args)
     proposed = ExhaustiveExplorer(domained).run(settings)
@@ -267,7 +270,7 @@ def _implement_for(args):
     factory = _design_factory(args.design, args.width, library)
     constraint = select_clock_for(factory, library)
     return implement_with_domains(
-        factory, library, _parse_grid(args.grid), constraint=constraint
+        factory, library, args.grid, constraint=constraint
     )
 
 
@@ -817,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="implement + optimize one design")
     add_design_args(p)
     add_sweep_args(p)
-    p.add_argument("--grid", default="2x2")
+    p.add_argument("--grid", type=_parse_grid, default="2x2")
     p.add_argument(
         "--output",
         help="write the exploration result as JSON (`repro compile-table "
@@ -828,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="proposed vs DVAS (Fig. 5)")
     add_design_args(p)
     add_sweep_args(p)
-    p.add_argument("--grid", default="2x2")
+    p.add_argument("--grid", type=_parse_grid, default="2x2")
     p.set_defaults(func=cmd_compare, sweep_command=True)
 
     p = sub.add_parser(
@@ -844,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_design_args(p)
     add_sweep_args(p)
-    p.add_argument("--grid", default="2x2")
+    p.add_argument("--grid", type=_parse_grid, default="2x2")
     p.add_argument(
         "--exploration",
         help="load a saved exploration JSON instead of re-exploring",
@@ -1039,7 +1042,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a seeded fault schedule against serving + exploration",
     )
     add_design_args(p)
-    p.add_argument("--grid", default="2x2")
+    p.add_argument("--grid", type=_parse_grid, default="2x2")
     p.add_argument("--seed", type=int, default=7, help="chaos seed")
     p.add_argument(
         "--intensity",

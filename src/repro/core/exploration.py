@@ -4,14 +4,24 @@ For every accuracy mode (bitwidth) of interest the explorer
 
 1. runs case analysis (zeroed LSBs -> deactivated paths),
 2. annotates switching activity by simulating the netlist in that mode,
-3. for every supply voltage, evaluates *all* 2^NMAX back-bias assignments
-   in one batched STA sweep (the feasibility filter -- the paper reports
-   ~75 % of points rejected here),
+3. for every supply voltage, classifies *all* 2^NMAX back-bias
+   assignments as timing feasible or not (the feasibility filter -- the
+   paper reports ~75 % of points rejected here),
 4. ranks the feasible points by total (leakage + dynamic) power,
 
 and reports the minimum-power configuration per bitwidth: the data behind
 the paper's Fig. 5 Pareto curves.  Steps 1 and 2 run once for all of a
 call's bitwidths, each bitwidth a lane of one compiled pass.
+
+Step 3 searches the lattice instead of sweeping it.  Forward back bias
+only shortens delays, so the feasible assignments of a (bitwidth, VDD)
+point form an up-set: an assignment with an infeasible immediate
+superset (one more domain boosted) is infeasible itself.  The walk goes
+top-down by popcount, one batched STA pass per level with every VDD
+rung stacked, and sends only the assignments with no immediate superset
+known to be infeasible: the feasible ones plus the maximal infeasible
+ones.  Every feasible assignment still gets its exact slack, so counts,
+winners and the winner's slack equal the exhaustive sweep's.
 """
 
 from __future__ import annotations
@@ -32,15 +42,11 @@ from repro.sta.lattice import LatticeStaEngine, all_bb_configs
 
 @dataclass(frozen=True)
 class KnobCellResult:
-    """Outcome of one slice of the (bitwidth, VDD, BB-combo) tensor.
+    """Outcome of one (bitwidth, VDD) point over every BB assignment.
 
     The unit of work the sharded engine distributes and caches; the
     serial explorer produces the same records, so merging a list of them
     (:func:`merge_cell_results`) is bit-identical either way.
-    ``combo_lo`` is the cell's offset on the BB-combination axis -- a
-    cell covers combos ``[combo_lo, combo_lo + evaluated)`` of the full
-    configuration matrix, and the merge folds the slices of one
-    (bitwidth, VDD) point back together in ascending combo order.
     """
 
     bits: int
@@ -48,12 +54,6 @@ class KnobCellResult:
     evaluated: int
     feasible_count: int
     best: Optional[OperatingPoint]
-    combo_lo: int = 0
-
-    @property
-    def combo_hi(self) -> int:
-        """One past the last combo index this cell covers."""
-        return self.combo_lo + self.evaluated
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -62,7 +62,6 @@ class KnobCellResult:
             "evaluated": self.evaluated,
             "feasible_count": self.feasible_count,
             "best": self.best.to_dict() if self.best is not None else None,
-            "combo_lo": self.combo_lo,
         }
 
     @staticmethod
@@ -74,7 +73,6 @@ class KnobCellResult:
             evaluated=int(data["evaluated"]),
             feasible_count=int(data["feasible_count"]),
             best=OperatingPoint.from_dict(best) if best is not None else None,
-            combo_lo=int(data.get("combo_lo", 0)),
         )
 
 
@@ -150,16 +148,56 @@ class ExhaustiveExplorer:
         configs: np.ndarray,
         case,
     ) -> List[np.ndarray]:
-        """Per-combo worst setup slack for every VDD rung.
+        """Per-combo worst setup slack for every VDD rung, by search.
 
-        One nets-major lattice pass sweeps the whole (VDD, combo)
-        ladder; the differential wall holds it to the per-combination
-        scalar loop bit for bit.
+        Walks the assignments top-down by popcount.  Each level sends
+        every rung's candidates -- the assignments with no immediate
+        superset known to be infeasible -- through one stacked lattice
+        pass, and marks the rest infeasible without STA.  A superset
+        missing from a restricted *configs* gives no evidence.  When the
+        engine cannot vouch for monotonicity at these rungs
+        (:meth:`~repro.sta.lattice.LatticeStaEngine.bias_monotone`), no
+        superset gives evidence and every assignment goes to STA.
+
+        Lanes that were not sent read ``-inf``; only ``>= 0`` may be
+        asked of them.  Every lane sent is bit-identical to the full
+        lattice pass, which ``tests/oracles/sta.py`` holds it to.
         """
-        ladder = self.lattice_engine.analyze_ladder(
-            self.design.constraint, vdd_values, configs=configs, case=case
-        )
-        return [result.worst_slack_ps for result in ladder]
+        configs = np.asarray(configs, dtype=bool)
+        num_combos, num_domains = configs.shape
+        # superset[k, d]: the row of configs holding row k with domain d
+        # boosted, or num_combos (a never-infeasible sentinel column)
+        # when d is already boosted or that row is absent.
+        superset = np.full((num_combos, num_domains), num_combos)
+        if self.lattice_engine.bias_monotone(vdd_values):
+            codes = configs @ (1 << np.arange(num_domains, dtype=np.int64))
+            order = np.argsort(codes, kind="stable")
+            boosted = codes[:, None] | (1 << np.arange(num_domains))
+            rows = np.append(order, num_combos)[
+                np.searchsorted(codes[order], boosted)
+            ]
+            hit = (np.append(codes, -1)[rows] == boosted) & ~configs
+            superset[hit] = rows[hit]
+        slacks = np.full((len(vdd_values), num_combos), -np.inf)
+        infeasible = np.zeros((len(vdd_values), num_combos + 1), dtype=bool)
+        popcount = configs.sum(axis=1)
+        for level in range(num_domains, -1, -1):
+            members = np.flatnonzero(popcount == level)
+            pruned = infeasible[:, superset[members]].any(axis=2)
+            infeasible[:, members] = pruned
+            sent = [members[~rung] for rung in pruned]
+            if not any(len(rows) for rows in sent):
+                continue
+            ladder = self.lattice_engine.analyze_ladder(
+                self.design.constraint,
+                vdd_values,
+                configs=[configs[rows] for rows in sent],
+                case=case,
+            )
+            for rung, (rows, result) in enumerate(zip(sent, ladder)):
+                slacks[rung, rows] = result.worst_slack_ps
+                infeasible[rung, rows] = ~result.feasible
+        return list(slacks)
 
     def evaluate_cells(
         self,
@@ -167,16 +205,12 @@ class ExhaustiveExplorer:
         vdd_values: Sequence[float],
         settings: ExplorationSettings,
         configs: np.ndarray,
-        combo_lo: int = 0,
     ) -> List[KnobCellResult]:
-        """Evaluate one rectangular slice of the knob/combo tensor.
+        """Evaluate every *configs* row at every (bitwidth, VDD) point.
 
         One case analysis and one activity simulation for all
         *bitwidths* (each bitwidth is a lane of one compiled pass), then
-        one whole-lattice STA pass over all *configs* per bitwidth,
-        stacking the VDD ladder.
-        *configs* may be any contiguous slice of the full configuration
-        matrix, with *combo_lo* recording its offset on the combo axis.
+        one lattice search per bitwidth, stacking the VDD ladder.
         This is the single implementation both the serial sweep and
         every shard of the parallel engine execute, which is what makes
         their merged results bit-identical.
@@ -223,7 +257,6 @@ class ExhaustiveExplorer:
                         evaluated=len(config_tuples),
                         feasible_count=count,
                         best=point,
-                        combo_lo=combo_lo,
                     )
                 )
         return cells
@@ -260,48 +293,6 @@ class ExhaustiveExplorer:
         )
 
 
-def _fold_combo_slices(
-    bits: int,
-    vdd: float,
-    slices: Dict[int, KnobCellResult],
-) -> KnobCellResult:
-    """Fold the combo-axis slices of one (bitwidth, VDD) point.
-
-    Slices must tile ``[0, total)`` contiguously (the shard planner
-    guarantees it; a cache serving a stale plan would not, and is caught
-    here).  Feasible counts add; the best point folds with a strict
-    minimum in ascending combo order, matching the unsplit ``argmin``.
-    """
-    ordered = [slices[lo] for lo in sorted(slices)]
-    if len(ordered) == 1 and ordered[0].combo_lo == 0:
-        return ordered[0]
-    cursor = 0
-    evaluated = 0
-    feasible = 0
-    best: Optional[OperatingPoint] = None
-    for cell in ordered:
-        if cell.combo_lo != cursor:
-            raise ValueError(
-                f"combo slices of ({bits} bits, {vdd} V) do not tile: "
-                f"expected offset {cursor}, got {cell.combo_lo}"
-            )
-        cursor = cell.combo_hi
-        evaluated += cell.evaluated
-        feasible += cell.feasible_count
-        if cell.best is not None and (
-            best is None or cell.best.total_power_w < best.total_power_w
-        ):
-            best = cell.best
-    return KnobCellResult(
-        bits=bits,
-        vdd=vdd,
-        evaluated=evaluated,
-        feasible_count=feasible,
-        best=best,
-        combo_lo=0,
-    )
-
-
 def merge_cell_results(
     design: ImplementedDesign,
     settings: ExplorationSettings,
@@ -314,14 +305,8 @@ def merge_cell_results(
     major, ``settings.vdd_values`` minor) regardless of the order they
     were computed in, so ties in the per-bitwidth minimum resolve exactly
     as the serial loop resolves them (first VDD in settings order wins).
-    A knob point split along the BB-combination axis (combo-tensor
-    shards) folds back in ascending ``combo_lo`` order with a strict
-    minimum, reproducing ``np.argmin`` over the unsplit power vector
-    exactly -- ties resolve to the lowest combo index either way.
     """
-    by_knob: Dict[Tuple[int, float], Dict[int, KnobCellResult]] = {}
-    for cell in cells:
-        by_knob.setdefault((cell.bits, cell.vdd), {})[cell.combo_lo] = cell
+    by_knob = {(cell.bits, cell.vdd): cell for cell in cells}
     best: Dict[int, OperatingPoint] = {}
     best_per_knob: Dict[Tuple[int, float], OperatingPoint] = {}
     feasible_counts: Dict[Tuple[int, float], int] = {}
@@ -329,12 +314,11 @@ def merge_cell_results(
     feasible_total = 0
     for bits in settings.bitwidths:
         for vdd in settings.vdd_values:
-            slices = by_knob.get((bits, vdd))
-            if not slices:
+            cell = by_knob.get((bits, vdd))
+            if cell is None:
                 raise ValueError(
                     f"missing knob cell ({bits} bits, {vdd} V) in merge"
                 )
-            cell = _fold_combo_slices(bits, vdd, slices)
             evaluated += cell.evaluated
             feasible_counts[(bits, vdd)] = cell.feasible_count
             feasible_total += cell.feasible_count

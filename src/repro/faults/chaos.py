@@ -682,7 +682,7 @@ def run_exploration_chaos(
     marker_dir = os.path.join(workdir, "chaos-faults")
     log = InjectionLog()
 
-    shards = plan_shards(settings, None)
+    shards = plan_shards(settings)
     report.shards = len(shards)
     crash_shards = tuple(
         sorted(

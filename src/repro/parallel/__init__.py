@@ -1,12 +1,13 @@
 """Work-sharded, cached execution of the optimization phase.
 
-The exhaustive exploration (``ExhaustiveExplorer.run``) is the flow's
-runtime bottleneck: bitwidths x VDDs x 2^NMAX back-bias assignments, each
-cell paying an activity simulation and a batched STA sweep.  This package
-makes that sweep scale without changing a single number:
+The exhaustive exploration (``ExhaustiveExplorer.run``) classifies
+bitwidths x VDDs x 2^NMAX back-bias assignments, each bitwidth paying a
+case analysis, an activity simulation and a lattice search that sends
+the feasible and the maximal infeasible assignments to batched STA.
+This package makes that sweep scale without changing a single number:
 
 * :mod:`repro.parallel.shards` splits the (bitwidth, VDD) knob grid into
-  independent shards;
+  independent shards, each over every back-bias assignment;
 * :mod:`repro.parallel.engine` executes shards on a process pool (serial
   fallback at one worker) and merges them in canonical knob order;
 * :mod:`repro.parallel.cache` persists per-shard results content-addressed

@@ -166,11 +166,7 @@ def _run_shard(shard: Shard) -> List[KnobCellResult]:
     settings: ExplorationSettings = _WORKER_STATE["settings"]
     configs = _WORKER_STATE["configs"]
     return explorer.evaluate_cells(
-        shard.bitwidths,
-        shard.vdd_values,
-        settings,
-        configs[shard.combo_slice()],
-        combo_lo=shard.combo_lo,
+        shard.bitwidths, shard.vdd_values, settings, configs
     )
 
 
@@ -220,15 +216,11 @@ class ParallelExplorer:
         settings: Optional[ExplorationSettings] = None,
         configs: Optional[np.ndarray] = None,
         max_vdds_per_shard: Optional[int] = None,
-        max_combos_per_shard: Optional[int] = None,
     ) -> ExplorationResult:
-        """Explore the full exploration tensor; bit-identical to serial.
+        """Explore the full knob grid; bit-identical to serial.
 
-        Shards are slices of the (bitwidth, VDD, BB-combo) tensor: the
-        combo axis splits past ``max_combos_per_shard`` rows (default
-        :data:`repro.parallel.shards.DEFAULT_MAX_COMBOS_PER_SHARD`), so
-        large lattices spread evenly over the pool instead of riding on
-        whichever worker drew their bitwidth.
+        Shards are slices of the (bitwidth, VDD) grid, each carrying
+        every BB assignment in *configs*.
         """
         if settings is None:
             settings = ExplorationSettings()
@@ -236,9 +228,7 @@ class ParallelExplorer:
         if configs is None:
             configs = all_bb_configs(self.design.num_domains)
         configs = np.asarray(configs, dtype=bool)
-        shards = plan_shards(
-            settings, len(configs), max_vdds_per_shard, max_combos_per_shard
-        )
+        shards = plan_shards(settings, max_vdds_per_shard)
 
         cache = ResultCache(settings.cache_dir) if settings.cache else None
         stats = CacheStats() if cache else None
@@ -305,11 +295,7 @@ class ParallelExplorer:
             if _INTERRUPT.is_set():
                 raise SweepInterrupted(index, total)
             shard_cells = explorer.evaluate_cells(
-                shard.bitwidths,
-                shard.vdd_values,
-                settings,
-                configs[shard.combo_slice()],
-                combo_lo=shard.combo_lo,
+                shard.bitwidths, shard.vdd_values, settings, configs
             )
             self._complete(shard, key, shard_cells, cache, stats, cells)
 

@@ -38,8 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: old entries then miss instead of being misinterpreted.  Schema 3
 #: added the lattice kernel schema and the shard's BB-combination span
 #: (combo-tensor shards); schema 4 dropped the engine choices, since
-#: each layer now runs one engine.
-FINGERPRINT_SCHEMA = 4
+#: each layer now runs one engine; schema 5 dropped the combination span
+#: from keys and cells, since shards no longer split the lattice.
+FINGERPRINT_SCHEMA = 5
 
 
 def canonical_json(obj) -> str:
@@ -155,8 +156,7 @@ def shard_key(
     to produce an identical slice) still hits.
 
     The key embeds the lattice kernel's schema version, so entries
-    written by a kernel with different numerics miss.  The shard's
-    BB-combination span keys the combo-tensor slice it covers.
+    written by a kernel with different numerics miss.
     """
     from repro.sta.lattice import LATTICE_SCHEMA
 
@@ -169,7 +169,6 @@ def shard_key(
         "shard": {
             "bitwidths": list(shard.bitwidths),
             "vdd_values": list(shard.vdd_values),
-            "combos": [shard.combo_lo, shard.combo_hi],
         },
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()

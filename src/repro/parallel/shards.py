@@ -1,25 +1,18 @@
-"""Shard planning: slicing the (bitwidth, VDD, BB-combo) tensor.
+"""Shard planning: slicing the (bitwidth, VDD) knob grid.
 
-A shard is a rectangular slice of the exploration tensor that one worker
-evaluates in one go.  The canonical plan is one shard per bitwidth
-carrying every VDD and the whole BB-combination axis: activity
-simulation (the per-bitwidth fixed cost) then runs exactly once per
-shard, and with the paper's 16 bitwidths there is ample parallelism for
-any sane worker count.  Two further axes split on demand:
-
-* ``max_vdds_per_shard`` slices the VDD axis (very tall VDD sweeps, or
-  shard-boundary testing);
-* ``max_combos_per_shard`` slices the BB-combination axis.  The lattice
-  STA engine evaluates a shard's combos in one ``(combos, nets)`` tensor
-  pass, so a combo slice is a contiguous row block of that tensor --
-  beyond :data:`DEFAULT_MAX_COMBOS_PER_SHARD` combinations (NMAX >= 11)
-  the axis splits automatically, which both bounds the arrival-matrix
-  memory per worker and gives the process pool evenly sized pieces of
-  designs whose lattice dwarfs their knob grid.
+A shard is a rectangular slice of the knob grid that one worker
+evaluates in one go, over every BB assignment.  The canonical plan is one
+shard per bitwidth carrying every VDD: activity simulation (the
+per-bitwidth fixed cost) then runs exactly once per shard, and with the
+paper's 16 bitwidths there is ample parallelism for any sane worker
+count.  ``max_vdds_per_shard`` further slices the VDD axis (very tall
+VDD sweeps, or shard-boundary testing).  The BB-assignment axis never
+splits: the lattice search prunes an assignment by its supersets, so a
+shard must hold all of them.
 
 Results are invariant to the plan because every plan covers each
-(bitwidth, VDD, combo) point exactly once and the merge re-orders and
-re-folds slices canonically.
+(bitwidth, VDD) point exactly once and the merge re-orders cells
+canonically.
 """
 
 from __future__ import annotations
@@ -29,82 +22,35 @@ from typing import List, Optional, Tuple
 
 from repro.core.config import ExplorationSettings
 
-#: Combo-axis shard ceiling: one shard carries at most this many BB
-#: combinations.  2^10 keeps every design the paper ships (NMAX <= 9) in
-#: a single slice per bitwidth while bounding the lattice tensor of
-#: bigger partitions to ~8 MB per 1k nets.
-DEFAULT_MAX_COMBOS_PER_SHARD = 1024
-
 
 @dataclass(frozen=True)
 class Shard:
-    """One independently computable slice of the exploration tensor.
-
-    ``combo_lo``/``combo_hi`` bound the shard's rows of the BB
-    configuration matrix; ``combo_hi`` is exclusive, and ``None`` means
-    "through the end" (the hand-built-shard convenience -- planned
-    shards always carry explicit bounds).
-    """
+    """One independently computable slice of the knob grid."""
 
     index: int
     bitwidths: Tuple[int, ...]
     vdd_values: Tuple[float, ...]
-    combo_lo: int = 0
-    combo_hi: Optional[int] = None
-
-    @property
-    def num_cells(self) -> int:
-        return len(self.bitwidths) * len(self.vdd_values)
-
-    def combo_slice(self) -> slice:
-        """The shard's row slice of the full configuration matrix."""
-        return slice(self.combo_lo, self.combo_hi)
-
-    def describe(self) -> str:
-        bits = ",".join(str(b) for b in self.bitwidths)
-        vdds = ",".join(f"{v:g}" for v in self.vdd_values)
-        hi = "" if self.combo_hi is None else self.combo_hi
-        combos = f" x combos [{self.combo_lo}:{hi}]"
-        return f"shard {self.index}: bits [{bits}] x vdd [{vdds}]{combos}"
 
 
 def plan_shards(
     settings: ExplorationSettings,
-    num_combos: Optional[int] = None,
     max_vdds_per_shard: Optional[int] = None,
-    max_combos_per_shard: Optional[int] = None,
 ) -> List[Shard]:
-    """Deterministic shard plan covering the settings' exploration tensor.
+    """Deterministic shard plan covering the settings' knob grid.
 
-    *num_combos* is the BB-configuration count (rows of the configs
-    matrix); ``None`` plans a single unbounded combo block, preserving
-    the legacy per-bitwidth plan for callers that only count shards.
-    The plan depends only on the tensor extents (never on worker count),
-    so cache keys derived from shards are stable across machines and
-    executions with different parallelism.
+    The plan depends only on the grid's extents (never on worker
+    count), so cache keys derived from shards are stable across machines
+    and executions with different parallelism.
     """
     if max_vdds_per_shard is not None and max_vdds_per_shard < 1:
         raise ValueError("max_vdds_per_shard must be >= 1")
-    if max_combos_per_shard is not None and max_combos_per_shard < 1:
-        raise ValueError("max_combos_per_shard must be >= 1")
     step = max_vdds_per_shard or len(settings.vdd_values)
     vdd_groups = [
         settings.vdd_values[i:i + step]
         for i in range(0, len(settings.vdd_values), step)
     ]
-    if num_combos is None:
-        combo_spans: List[Tuple[int, Optional[int]]] = [(0, None)]
-    else:
-        block = max_combos_per_shard or DEFAULT_MAX_COMBOS_PER_SHARD
-        combo_spans = [
-            (lo, min(lo + block, num_combos))
-            for lo in range(0, max(num_combos, 1), block)
-        ]
     shards: List[Shard] = []
     for bits in settings.bitwidths:
         for group in vdd_groups:
-            for lo, hi in combo_spans:
-                shards.append(
-                    Shard(len(shards), (bits,), tuple(group), lo, hi)
-                )
+            shards.append(Shard(len(shards), (bits,), tuple(group)))
     return shards

@@ -8,12 +8,14 @@ The netlist is compiled once into a flat arc-level timing graph
   sequential elements, to a fixpoint) deactivates timing paths, which is
   how reduced accuracy buys timing slack; every accuracy mode is a lane
   of one compiled, table-driven pass;
-* :mod:`lattice` -- one levelized float64 sweep evaluates *all*
-  2^NMAX back-bias assignments of a partitioned design at once (or any
-  per-cell delay factors, e.g. the {RBB, NoBB, FBB} extension), which
-  is what makes the paper's exhaustive exploration cheap: (combos,
+* :mod:`lattice` -- one levelized float64 sweep evaluates many
+  back-bias assignments of a partitioned design at once (or any
+  per-cell delay factors, e.g. the {RBB, NoBB, FBB} extension): (combos,
   nets) arrival and required tensors, per-combo WNS / critical-endpoint
   / feasibility in one pass, bit-identical to looping the scalar engine.
+  The explorer does not send it all 2^NMAX assignments: a boost never
+  lowers a slack, so it searches the lattice top-down and sends only the
+  feasible and the maximal infeasible ones, with exact results.
 """
 
 from repro.sta.graph import TimingGraph, compile_timing_graph

@@ -29,8 +29,9 @@ lanes to it, values and sweep counts alike.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,8 +56,15 @@ class CaseAnalysis:
     values: np.ndarray
     forced: Dict[int, bool]
     sweeps: int
+    #: The netlist's arcs grouped for the sensitization lookup; the lanes
+    #: of one :class:`CaseLanes` share one.
+    arc_layout: Optional["_ArcLayout"] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        if self.arc_layout is None:
+            self.arc_layout = _ArcLayout(self.netlist)
         self._arc_mask_cache: Dict[int, np.ndarray] = {}
         # Case-filtered sweep schedules per timing graph, memoized here
         # (not on the graph) so a short-lived case doesn't pin schedule
@@ -84,28 +92,19 @@ class CaseAnalysis:
         if cached is not None and cached[0] is graph:
             return cached[1]
         values = self.values
-        base = (values[graph.arc_from] == UNKNOWN) & (
+        mask = (values[graph.arc_from] == UNKNOWN) & (
             values[graph.arc_to] == UNKNOWN
         )
-        # Refine with per-cell sensitization where side inputs are constant.
-        mask = base.copy()
-        arc_cursor = 0
-        for cell in self.netlist.cells:
-            if cell.is_sequential:
-                continue
-            num_in = len(cell.input_nets)
-            num_out = len(cell.output_nets)
-            num_arcs = num_in * num_out
-            input_codes = tuple(int(values[n.index]) for n in cell.input_nets)
-            if any(c != UNKNOWN for c in input_codes):
-                sens = _sensitization_matrix(cell.template, input_codes)
-                # Graph arc order per cell: for each output, all inputs.
-                for out_pos in range(num_out):
-                    for in_pos in range(num_in):
-                        ordinal = arc_cursor + out_pos * num_in + in_pos
-                        if mask[ordinal] and not sens[in_pos][out_pos]:
-                            mask[ordinal] = False
-            arc_cursor += num_arcs
+        # Refine with per-cell sensitization, one template at a time.
+        groups = self.arc_layout.groups
+        if sum(arcs.size for _, arcs, _ in groups) != len(mask):
+            raise ValueError("timing graph does not match the netlist")
+        for inputs, arcs, table in groups:
+            codes = values[inputs].astype(np.intp)
+            index = codes[0]
+            for pin in range(1, len(codes)):
+                index = index + codes[pin] * 3**pin
+            mask[arcs] &= table[index]
         # Pin the graph in the entry: a dead graph's id can be recycled by
         # a new graph, which must not be served the stale mask.
         self._arc_mask_cache[id(graph)] = (graph, mask)
@@ -116,50 +115,11 @@ class CaseAnalysis:
         return self.values[endpoint_nets] == UNKNOWN
 
 
-#: Memo of (template name, input codes) -> sensitization matrix
-#: ``matrix[in_pos][out_pos]`` (True when the input can still flip the
-#: output under the given constant side inputs).
-_SENS_CACHE: Dict[tuple, list] = {}
+def _truth_table(template) -> Tuple[np.ndarray, np.ndarray]:
+    """``(minterms, outputs)`` of *template* over all boolean inputs.
 
-
-def _sensitization_matrix(template, input_codes: tuple) -> list:
-    """Per-(input, output) controllability under constant side inputs."""
-    key = (template.name, input_codes)
-    cached = _SENS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    num_in = len(template.inputs)
-    num_out = len(template.outputs)
-    unknown_positions = [i for i, c in enumerate(input_codes) if c == UNKNOWN]
-    matrix = [[False] * num_out for _ in range(num_in)]
-    for combo in itertools.product((False, True), repeat=len(unknown_positions)):
-        base = [bool(c) if c != UNKNOWN else False for c in input_codes]
-        for position, value in zip(unknown_positions, combo):
-            base[position] = value
-        outputs = tuple(
-            bool(np.asarray(o)) for o in template.evaluate(*base)
-        )
-        for in_pos in unknown_positions:
-            flipped = list(base)
-            flipped[in_pos] = not flipped[in_pos]
-            flipped_out = tuple(
-                bool(np.asarray(o)) for o in template.evaluate(*flipped)
-            )
-            for out_pos in range(num_out):
-                if outputs[out_pos] != flipped_out[out_pos]:
-                    matrix[in_pos][out_pos] = True
-    _SENS_CACHE[key] = matrix
-    return matrix
-
-
-def _three_valued_table(template) -> np.ndarray:
-    """``(3^k, outputs)`` output codes of *template* on three-valued inputs.
-
-    Row ``sum(codes[pin] * 3**pin)`` holds the outputs for input codes
-    ``codes``: :data:`ONE` or :data:`ZERO` when every boolean input
-    vector consistent with the known inputs agrees, else
-    :data:`UNKNOWN` -- an OR over the consistent minterms of the truth
-    table, i.e. exactly the enumeration of the unknown inputs.
+    Minterm rows come in ``itertools.product`` order, so pin 0 is the
+    most significant bit of a row's index.
     """
     num_in = len(template.inputs)
     minterms = np.asarray(
@@ -171,14 +131,96 @@ def _three_valued_table(template) -> np.ndarray:
             for row in minterms.tolist()
         ],
         dtype=bool,
+    ).reshape(2**num_in, len(template.outputs))
+    return minterms, truth
+
+
+def _consistent(minterms: np.ndarray, index: int) -> np.ndarray:
+    """Minterms agreeing with the known pins of three-valued row *index*."""
+    consistent = np.ones(len(minterms), dtype=bool)
+    for pin in range(minterms.shape[1]):
+        code = (index // 3**pin) % 3
+        if code != UNKNOWN:
+            consistent &= minterms[:, pin] == bool(code)
+    return consistent
+
+
+def _sensitization_table(template) -> np.ndarray:
+    """``(3^k, outputs * k)`` arc sensitization of *template*.
+
+    Rows are indexed like :func:`_three_valued_table`; column
+    ``out * k + pin`` is True when input *pin* can still flip output
+    *out* under the row's input codes -- some boolean input vector
+    consistent with the known inputs changes the output when only *pin*
+    flips.  A known pin never can.  The all-unknown row is all True:
+    with no constant side input there is nothing to refine.
+    """
+    minterms, truth = _truth_table(template)
+    num_in = minterms.shape[1]
+    # flips[r, pin, out]: flipping *pin* of minterm r changes *out*.
+    flipped = np.arange(len(minterms))[:, None] ^ (
+        1 << (num_in - 1 - np.arange(num_in))
     )
-    table = np.empty((3**num_in, truth.shape[1]), dtype=np.uint8)
-    for index in range(3**num_in):
-        consistent = np.ones(len(minterms), dtype=bool)
-        for pin in range(num_in):
-            code = (index // 3**pin) % 3
-            if code != UNKNOWN:
-                consistent &= minterms[:, pin] == bool(code)
+    flips = truth[:, None, :] != truth[flipped]
+    table = np.ones((3**num_in, truth.shape[1] * num_in), dtype=bool)
+    for index in range(3**num_in - 1):  # the last row is all-unknown
+        unknown = np.asarray(
+            [(index // 3**pin) % 3 == UNKNOWN for pin in range(num_in)]
+        )
+        live = flips[_consistent(minterms, index)].any(axis=0)
+        table[index] = (live & unknown[:, None]).transpose().reshape(-1)
+    return table
+
+
+class _ArcLayout:
+    """A netlist's combinational arcs, grouped by template on first use.
+
+    Arc ordinals follow :func:`repro.sta.graph.compile_timing_graph`:
+    cells in netlist order, sequential cells skipped, each cell's arcs
+    contiguous, output-major and input-minor.
+    """
+
+    def __init__(self, netlist: Netlist):
+        self.netlist = netlist
+
+    @functools.cached_property
+    def groups(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per template: ``(k, cells)`` input nets, ``(cells, outputs *
+        k)`` arc ordinals and the :func:`_sensitization_table`."""
+        members: Dict[str, tuple] = {}
+        cursor = 0
+        for cell in self.netlist.cells:
+            if cell.is_sequential:
+                continue
+            nets = [net.index for net in cell.input_nets]
+            members.setdefault(cell.template.name, (cell.template, []))[
+                1
+            ].append((nets, cursor))
+            cursor += len(nets) * len(cell.output_nets)
+        groups = []
+        for template, cells in members.values():
+            table = _sensitization_table(template)
+            if table.shape[1]:  # tie cells have no arcs
+                inputs = np.asarray([nets for nets, _ in cells], dtype=np.intp)
+                starts = np.asarray([start for _, start in cells])
+                arcs = starts[:, None] + np.arange(table.shape[1])
+                groups.append((inputs.transpose().copy(), arcs, table))
+        return groups
+
+
+def _three_valued_table(template) -> np.ndarray:
+    """``(3^k, outputs)`` output codes of *template* on three-valued inputs.
+
+    Row ``sum(codes[pin] * 3**pin)`` holds the outputs for input codes
+    ``codes``: :data:`ONE` or :data:`ZERO` when every boolean input
+    vector consistent with the known inputs agrees, else
+    :data:`UNKNOWN` -- an OR over the consistent minterms of the truth
+    table, i.e. exactly the enumeration of the unknown inputs.
+    """
+    minterms, truth = _truth_table(template)
+    table = np.empty((3 ** minterms.shape[1], truth.shape[1]), dtype=np.uint8)
+    for index in range(len(table)):
+        consistent = _consistent(minterms, index)
         can_be_one = truth[consistent].any(axis=0)
         can_be_zero = (~truth[consistent]).any(axis=0)
         table[index] = np.where(
@@ -325,6 +367,8 @@ class CaseLanes:
     fixpoint sweeps it took.  Indexing builds lane *k*'s
     :class:`CaseAnalysis` afresh, so a caller walking the lanes holds one
     analysis -- and the timing schedules memoized on it -- at a time.
+    The lanes share one arc layout, so the netlist is grouped for the
+    sensitization lookup once per call, not once per lane.
     """
 
     def __init__(
@@ -338,6 +382,7 @@ class CaseLanes:
         self.values = values
         self.sweeps = sweeps
         self.forced = [dict(lane) for lane in forced]
+        self.arc_layout = _ArcLayout(netlist)
 
     def __len__(self) -> int:
         return len(self.forced)
@@ -353,6 +398,7 @@ class CaseLanes:
             values=np.ascontiguousarray(self.values[:, lane]),
             forced=dict(self.forced[lane]),
             sweeps=int(self.sweeps[lane]),
+            arc_layout=self.arc_layout,
         )
 
 

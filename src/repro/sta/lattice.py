@@ -1,14 +1,18 @@
-"""Whole-lattice batched STA: every BB combination in one tensor pass.
+"""Whole-lattice batched STA: many BB combinations in one tensor pass.
 
-The exploration phase evaluates all 2^NMAX back-bias assignments of a
-domain-partitioned design per (bitwidth, VDD) knob point and discards the
-timing-infeasible ones (the paper reports ~75 % rejected).  The timing
-graph is the *same* for every assignment -- only per-cell delay factors
-``f(VDD, Vth[domain])`` change -- so the whole lattice can share one
+The exploration phase classifies all 2^NMAX back-bias assignments of a
+domain-partitioned design per (bitwidth, VDD) knob point as timing
+feasible or not (the paper reports ~75 % rejected).  The timing graph is
+the *same* for every assignment -- only per-cell delay factors
+``f(VDD, Vth[domain])`` change -- so any set of assignments can share one
 levelized sweep: arrival and required times become ``(combos, nets)``
 matrices with the BB combination stacked on a leading axis, the per-arc
 delay broadcasts as a ``(combos, arcs-in-level)`` block, and the
 infeasibility filter collapses to one masked reduction per knob point.
+The explorer does not send the whole lattice: boosting a domain never
+lowers a slack (:meth:`LatticeStaEngine.bias_monotone` checks the
+premise), so it walks the lattice top-down and sends only the
+assignments whose immediate supersets are all feasible.
 
 The kernel computes in float64 with exactly the scalar engine's
 operations (same multiplies, same exact max/min reductions, same
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -268,15 +272,27 @@ class LatticeStaEngine:
         # Case-filtered schedules live on their CaseAnalysis, so the
         # entries are weak: a case's padded levels die with the case.
         self._padded_cache = weakref.WeakKeyDictionary()
-        # Reusable per-combo-width work buffers; repeated analyze calls
-        # (one per knob point during exploration) would otherwise
-        # mmap/munmap multi-MB temporaries every pass.
-        self._scratch = {}
+        # One reusable work buffer per role, grown to the largest pass and
+        # viewed as a prefix per call: repeated passes would otherwise
+        # mmap/munmap multi-MB temporaries, and the lattice search sends
+        # a different lane count almost every pass.
+        self._scratch = {
+            role: np.empty(0)
+            for role in ("cell_factors", "arc_delay", "candidate")
+        }
         # Graph-fixed launch/endpoint index plumbing.
         self._launch_clip = np.maximum(graph.launch_cell, 0)
         self._launch_external = (graph.launch_cell < 0)[:, None]
         self._endpoint_clip = np.maximum(graph.endpoint_cell, 0)
         self._endpoint_external = (graph.endpoint_cell < 0)[:, None]
+        self._delays_nonnegative = all(
+            bool(np.all(delays >= 0.0))
+            for delays in (
+                graph.arc_delay_ps,
+                graph.launch_delay_ps,
+                graph.endpoint_setup_ps,
+            )
+        )
 
     def _padded_levels(self, schedule: LevelizedSchedule, backward: bool):
         """Padded forward or backward levels of *schedule*, memoized.
@@ -295,21 +311,37 @@ class LatticeStaEngine:
             padded[backward] = levels
         return levels
 
-    def _scratch_for(self, num_combos: int, slots: int):
-        buffers = self._scratch.get(num_combos)
-        if buffers is None:
-            graph = self.graph
-            buffers = {
-                "cell_factors": np.empty((graph.num_cells, num_combos)),
-                "arc_delay": np.empty((len(graph.arc_cell), num_combos)),
-                "candidate": np.empty(0),
-            }
-            self._scratch[num_combos] = buffers
-        if buffers["candidate"].size < slots * num_combos:
-            buffers["candidate"] = np.empty(slots * num_combos)
-        return buffers
+    def _scratch_view(self, role: str, rows: int, lanes: int) -> np.ndarray:
+        """A ``(rows, lanes)`` prefix of the *role* buffer, grown on demand."""
+        size = rows * lanes
+        buffer = self._scratch[role]
+        if buffer.size < size:
+            buffer = self._scratch[role] = np.empty(size)
+        return buffer[:size].reshape(rows, lanes)
 
     # -- corner factors -----------------------------------------------------
+
+    def bias_monotone(self, vdds) -> bool:
+        """Whether boosting a domain to FBB never lowers a slack at *vdds*.
+
+        Holds when the graph's base arc, launch and setup delays are all
+        non-negative and, at every rung, both delay factors are finite
+        and the FBB factor is no larger than the NoBB one (a NaN factor
+        fails).  Every delay is then a non-negative base times a factor
+        no larger, and rounded ``*``, ``+``, ``-``, ``max`` and ``min``
+        are all monotone, so a superset's worst slack is at least its
+        subset's, bit for bit.  An infinite factor is refused because
+        ``0 * inf`` is NaN, which the endpoint mask reads as inactive.
+        """
+        if not self._delays_nonnegative:
+            return False
+        for vdd in vdds:
+            f_nobb = self.library.delay_factor(self.library.nobb_corner(vdd))
+            f_fbb = self.library.delay_factor(self.library.fbb_corner(vdd))
+            if not (np.isfinite(f_nobb) and np.isfinite(f_fbb)
+                    and f_fbb <= f_nobb):
+                return False
+        return True
 
     def factors_for(self, vdd: float, configs: np.ndarray) -> np.ndarray:
         """Per-(combo, cell) float64 delay factors of a config matrix.
@@ -404,18 +436,23 @@ class LatticeStaEngine:
             default=0,
         )
         period = constraint.effective_period_ps
-        buffers = self._scratch_for(num_combos, slots)
+        # Flat: each level views its own (slots, combos) prefix.
+        candidate = self._scratch_view("candidate", slots, num_combos).ravel()
 
         # All internal matrices are nets-major (nets, combos): one net's
         # combo row is then C-contiguous, so the per-level arc gathers
         # are whole-row copies rather than strided column picks.  The
         # public result arrays stay combo-major.
-        cell_factors = buffers["cell_factors"]
+        cell_factors = self._scratch_view(
+            "cell_factors", graph.num_cells, num_combos
+        )
         np.copyto(cell_factors, factors.transpose())
         # (arcs, combos): the same float64 product the scalar engine
         # forms as arc_delay_ps * factors[arc_cell], per combo --
         # computed once here instead of once per level.
-        arc_delay = buffers["arc_delay"]
+        arc_delay = self._scratch_view(
+            "arc_delay", len(graph.arc_cell), num_combos
+        )
         np.multiply(
             graph.arc_delay_ps[:, None],
             cell_factors[graph.arc_cell],
@@ -435,9 +472,7 @@ class LatticeStaEngine:
             live = case.values[graph.launch_nets] == UNKNOWN
             arrival[graph.launch_nets[live]] = launch_arrival[live]
 
-        lattice_sweep_forward(
-            forward_levels, arc_delay, arrival, buffers["candidate"]
-        )
+        lattice_sweep_forward(forward_levels, arc_delay, arrival, candidate)
 
         # Endpoint bookkeeping: (endpoints, combos) blocks throughout.
         endpoint_factor = cell_factors[self._endpoint_clip]
@@ -481,7 +516,7 @@ class LatticeStaEngine:
             seed = np.where(endpoint_active, endpoint_required, POS_INF)
             np.minimum.at(required, graph.endpoint_nets, seed)
             lattice_sweep_backward(
-                backward_levels, arc_delay, required, buffers["candidate"]
+                backward_levels, arc_delay, required, candidate
             )
 
         return LatticeTimingResult(
@@ -502,56 +537,50 @@ class LatticeStaEngine:
         self,
         constraint: ClockConstraint,
         vdds,
-        configs: Optional[np.ndarray] = None,
+        configs: Optional[Sequence[np.ndarray]] = None,
         case: Optional[CaseAnalysis] = None,
     ) -> list:
-        """Sweep the whole (VDD, BB combination) ladder in one pass.
+        """Sweep a (VDD, BB combination) ladder in one pass.
 
-        VDD only enters the analysis through the per-cell delay factors,
-        so the VDD rungs stack on the same leading axis as the BB
-        combinations: one ``(len(vdds) * combos, nets)`` sweep replaces
-        ``len(vdds)`` per-rung passes, amortizing the per-level kernel
-        overhead across the ladder.  Max/min reductions are exact, so
-        each rung's slice is bit-identical to its standalone
+        *configs* holds one (combos, num_domains) boolean matrix per rung
+        of *vdds*, and rungs may differ in what and how much they carry
+        (default: the full 2^NMAX lattice on every rung).  VDD only
+        enters the analysis through the per-cell delay factors, so every
+        rung's combinations stack on one leading axis: one ``(lanes,
+        nets)`` sweep replaces one pass per rung, amortizing the
+        per-level kernel overhead across the ladder.  The combo axis is
+        pure batch, so each lane is bit-identical to its standalone
         :meth:`analyze` -- the differential wall holds it to that.
 
-        Returns one :class:`LatticeTimingResult` per VDD, in order.
+        Returns one :class:`LatticeTimingResult` per VDD, in order, over
+        that rung's configurations.
         """
-        if configs is None:
-            configs = all_bb_configs(self.num_domains)
-        configs = np.asarray(configs, dtype=bool)
         vdds = list(vdds)
-        num_combos = configs.shape[0]
-        if not vdds or num_combos == 0:
-            return [
-                LatticeTimingResult(
-                    constraint=constraint,
-                    vdd=vdd,
-                    configs=configs,
-                    worst_slack_ps=np.empty(0),
-                    critical_endpoint_net=np.empty(0, dtype=np.int64),
-                )
-                for vdd in vdds
-            ]
-        factors = np.concatenate(
-            [self.factors_for(vdd, configs) for vdd in vdds], axis=0
-        )
-        stacked = self.analyze_factors(
-            constraint,
-            factors,
-            configs=np.tile(configs, (len(vdds), 1)),
-            case=case,
-        )
-        results = []
-        for i, vdd in enumerate(vdds):
-            rung = slice(i * num_combos, (i + 1) * num_combos)
-            results.append(
-                LatticeTimingResult(
-                    constraint=constraint,
-                    vdd=vdd,
-                    configs=configs,
-                    worst_slack_ps=stacked.worst_slack_ps[rung],
-                    critical_endpoint_net=stacked.critical_endpoint_net[rung],
-                )
+        if configs is None:
+            configs = [all_bb_configs(self.num_domains)] * len(vdds)
+        configs = [np.asarray(rung, dtype=bool) for rung in configs]
+        if len(configs) != len(vdds):
+            raise ValueError(
+                f"{len(configs)} config matrices for {len(vdds)} VDD rungs"
             )
-        return results
+        bounds = np.cumsum([0] + [len(rung) for rung in configs])
+        if bounds[-1]:
+            factors = np.concatenate(
+                [self.factors_for(v, rung) for v, rung in zip(vdds, configs)]
+            )
+            stacked = self.analyze_factors(constraint, factors, case=case)
+            worst = stacked.worst_slack_ps
+            critical = stacked.critical_endpoint_net
+        else:
+            worst = np.empty(0)
+            critical = np.empty(0, dtype=np.int64)
+        return [
+            LatticeTimingResult(
+                constraint=constraint,
+                vdd=vdd,
+                configs=rung,
+                worst_slack_ps=worst[lo:hi],
+                critical_endpoint_net=critical[lo:hi],
+            )
+            for vdd, rung, lo, hi in zip(vdds, configs, bounds, bounds[1:])
+        ]

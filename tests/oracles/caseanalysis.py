@@ -6,7 +6,9 @@ walker it replaced: cells in topological order, each evaluated on its
 three-valued input codes by enumerating the unknown inputs through the
 template's own ``evaluate``, flip-flops checked one by one in netlist
 order.  The differential suite holds the lanes to it, values and sweep
-counts alike.
+counts alike.  :func:`reference_arc_mask` is the per-cell sensitization
+walker that :meth:`CaseAnalysis.active_arc_mask` replaced with one table
+lookup per template.
 """
 
 import itertools
@@ -117,3 +119,66 @@ def reference_dvas_case(
         for net in bus.nets[: bus.width - active]:
             forced[net.index] = False
     return reference_propagate(netlist, forced)
+
+
+#: Memo of (template name, input codes) -> sensitization matrix
+#: ``matrix[in_pos][out_pos]`` (True when the input can still flip the
+#: output under the given constant side inputs).
+_SENS_CACHE: Dict[tuple, list] = {}
+
+
+def _sensitization_matrix(template, input_codes: tuple) -> list:
+    """Per-(input, output) controllability under constant side inputs."""
+    key = (template.name, input_codes)
+    cached = _SENS_CACHE.get(key)
+    if cached is not None:
+        return cached
+    num_in = len(template.inputs)
+    num_out = len(template.outputs)
+    unknown_positions = [i for i, c in enumerate(input_codes) if c == UNKNOWN]
+    matrix = [[False] * num_out for _ in range(num_in)]
+    for combo in itertools.product(
+        (False, True), repeat=len(unknown_positions)
+    ):
+        base = [bool(c) if c != UNKNOWN else False for c in input_codes]
+        for position, value in zip(unknown_positions, combo):
+            base[position] = value
+        outputs = tuple(
+            bool(np.asarray(o)) for o in template.evaluate(*base)
+        )
+        for in_pos in unknown_positions:
+            flipped = list(base)
+            flipped[in_pos] = not flipped[in_pos]
+            flipped_out = tuple(
+                bool(np.asarray(o)) for o in template.evaluate(*flipped)
+            )
+            for out_pos in range(num_out):
+                if outputs[out_pos] != flipped_out[out_pos]:
+                    matrix[in_pos][out_pos] = True
+    _SENS_CACHE[key] = matrix
+    return matrix
+
+
+def reference_arc_mask(case: CaseAnalysis, graph) -> np.ndarray:
+    """``case.active_arc_mask(graph)``, one cell at a time."""
+    values = case.values
+    mask = (values[graph.arc_from] == UNKNOWN) & (
+        values[graph.arc_to] == UNKNOWN
+    )
+    arc_cursor = 0
+    for cell in case.netlist.cells:
+        if cell.is_sequential:
+            continue
+        num_in = len(cell.input_nets)
+        num_out = len(cell.output_nets)
+        input_codes = tuple(int(values[n.index]) for n in cell.input_nets)
+        if any(c != UNKNOWN for c in input_codes):
+            sens = _sensitization_matrix(cell.template, input_codes)
+            # Graph arc order per cell: for each output, all inputs.
+            for out_pos in range(num_out):
+                for in_pos in range(num_in):
+                    ordinal = arc_cursor + out_pos * num_in + in_pos
+                    if mask[ordinal] and not sens[in_pos][out_pos]:
+                        mask[ordinal] = False
+        arc_cursor += num_in * num_out
+    return mask

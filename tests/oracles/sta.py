@@ -1,9 +1,11 @@
-"""The per-combination scalar STA loop as a test oracle.
+"""STA references for the lattice kernel and the lattice search.
 
-:class:`~repro.sta.lattice.LatticeStaEngine` sweeps every back-bias
-combination in one tensor pass.  The reference it is held to, bit for
+:class:`~repro.sta.lattice.LatticeStaEngine` sweeps many back-bias
+combinations in one tensor pass.  The reference it is held to, bit for
 bit, is one :meth:`~repro.sta.engine.StaEngine.analyze` call per
-combination.
+combination.  ``ExhaustiveExplorer._ladder_slacks`` searches the lattice
+instead of sweeping it; its reference is the exhaustive sweep, one full
+lattice pass per bitwidth (:func:`full_ladder_slacks`).
 """
 
 import contextlib
@@ -74,6 +76,23 @@ def pointwise_ladder_slacks(
         ).worst_slack_ps
         for vdd in vdd_values
     ]
+
+
+def full_ladder_slacks(
+    explorer: ExhaustiveExplorer,
+    vdd_values: Sequence[float],
+    configs: np.ndarray,
+    case,
+) -> List[np.ndarray]:
+    """Drop-in for ``ExhaustiveExplorer._ladder_slacks``: every
+    assignment through STA, in one stacked pass over the whole ladder."""
+    ladder = explorer.lattice_engine.analyze_ladder(
+        explorer.design.constraint,
+        vdd_values,
+        configs=[configs] * len(vdd_values),
+        case=case,
+    )
+    return [result.worst_slack_ps for result in ladder]
 
 
 def force_pointwise(monkeypatch) -> None:

@@ -178,19 +178,6 @@ class TestKeySensitivity:
         trimmed = key_parts["raw_configs"][:-1]
         assert configs_fingerprint(trimmed) != key_parts["configs"]
 
-    def test_combo_span_changes_key(self, key_parts):
-        """Two slices of the combo tensor are different results; the key
-        must tell them apart even when bitwidths/VDDs coincide."""
-        shard = key_parts["shard"]
-        baseline = make_key(key_parts)
-        first = Shard(0, shard.bitwidths, shard.vdd_values, 0, 8)
-        second = Shard(0, shard.bitwidths, shard.vdd_values, 8, 16)
-        assert make_key(key_parts, shard=first) != baseline
-        assert make_key(key_parts, shard=second) != baseline
-        assert make_key(key_parts, shard=first) != make_key(
-            key_parts, shard=second
-        )
-
     def test_netlist_mutation_changes_fingerprint(self, design):
         baseline = design_fingerprint(design)
         cell = design.netlist.cells[0]
@@ -314,18 +301,6 @@ class TestCorruption:
         cells = [
             KnobCellResult(bits=4, vdd=0.9, evaluated=4, feasible_count=0,
                            best=None),
-            KnobCellResult(bits=4, vdd=0.9, evaluated=4, feasible_count=0,
-                           best=None, combo_lo=8),
         ]
         cache.store("k" * 64, cells)
         assert cache.load("k" * 64) == cells
-
-    def test_legacy_cell_dict_defaults_combo_lo(self):
-        """Pre-combo-tensor cell payloads (no combo_lo) still decode --
-        the fingerprint schema bump retires them, but the decoder must
-        not crash on one."""
-        legacy = {"bits": 4, "vdd": 0.9, "evaluated": 4,
-                  "feasible_count": 2, "best": None}
-        cell = KnobCellResult.from_dict(legacy)
-        assert cell.combo_lo == 0
-        assert cell.combo_hi == 4

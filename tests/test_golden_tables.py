@@ -1,7 +1,8 @@
 """The reproduction's full-size mode tables, pinned in tier-1.
 
 ``repro compile-table`` on the paper's Booth and FIR operators (16 bits,
-2x2 back-bias domains) runs the whole offline flow: implementation,
+2x2 back-bias domains, and Booth on the 3x3 grid of the Fig. 6
+domain-count axis) runs the whole offline flow: implementation,
 case analysis, activity, the lattice STA filter, power ranking and the
 transition costs.  Its output must equal the pins the end-to-end
 benchmark checks (``bench/expected/tables.json``, read here and never
@@ -49,7 +50,7 @@ def _assert_matches(observed, pinned, path="table"):
 
 
 @pytest.mark.parametrize(
-    "design, grid", [("booth", "2x2"), ("fir", "2x2")]
+    "design, grid", [("booth", "2x2"), ("fir", "2x2"), ("booth", "3x3")]
 )
 def test_compile_table_matches_pin(design, grid, tmp_path, capsys):
     pinned = json.loads((PINS / "tables.json").read_text())[

@@ -11,6 +11,9 @@ test:
   paper's operators at fixture scale for every bitwidth, and on random
   sequential netlists whose forced maps include internal nets,
   flip-flop Q nets, tie cells and the clock;
+* on the same operators and netlists, every lane's active-arc mask (one
+  sensitization-table lookup per template) equals the per-cell
+  sensitization walker;
 * a mode's activity report is bit-identical whether it is measured
   alone or as one lane group among others, on the packed engine and on
   the interpreted fallback.
@@ -32,8 +35,13 @@ from repro.sta.caseanalysis import (
     propagate_constants,
     propagate_lanes,
 )
+from repro.sta.graph import compile_timing_graph
 from repro.techlib.library import Library
-from tests.oracles.caseanalysis import reference_dvas_case, reference_propagate
+from tests.oracles.caseanalysis import (
+    reference_arc_mask,
+    reference_dvas_case,
+    reference_propagate,
+)
 from tests.oracles.sim import interpreted_engine
 
 LIBRARY = Library()
@@ -79,6 +87,14 @@ class TestOperatorLanes:
         for lane, bits in enumerate(bitwidths):
             _assert_lane_matches(
                 lanes, lane, reference_dvas_case(operator, bits)
+            )
+
+    def test_every_bitwidth_arc_mask_matches_reference(self, operator):
+        width = max(bus.width for bus in operator.input_buses.values())
+        graph = compile_timing_graph(operator)
+        for case in dvas_case(operator, list(range(width + 1))):
+            np.testing.assert_array_equal(
+                case.active_arc_mask(graph), reference_arc_mask(case, graph)
             )
 
     def test_lane_order_and_company_do_not_matter(self, operator):
@@ -226,6 +242,16 @@ class TestRandomNetlistLanes:
         for lane, forced in enumerate(forced_lanes):
             _assert_lane_matches(
                 lanes, lane, reference_propagate(netlist, forced)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_netlist_and_forced_lanes())
+    def test_arc_masks_match_reference(self, case):
+        netlist, forced_lanes = case
+        graph = compile_timing_graph(netlist)
+        for lane in propagate_lanes(netlist, forced_lanes):
+            np.testing.assert_array_equal(
+                lane.active_arc_mask(graph), reference_arc_mask(lane, graph)
             )
 
     @settings(max_examples=40, deadline=None)

@@ -18,8 +18,6 @@ from repro.operators import adequate_adder, booth_multiplier, fir_filter
 from repro.operators.fir import FirParameters
 from repro.parallel.engine import ParallelExplorer
 from repro.pnr.grid import GridPartition
-from tests.oracles import require_fork
-from tests.oracles.sta import force_pointwise
 
 SETTINGS = ExplorationSettings(
     bitwidths=(2, 3, 4, 6),
@@ -107,38 +105,6 @@ def test_shard_boundaries_are_invisible(
         max_vdds_per_shard=max_vdds,
     )
     assert_identical(serial_reference["adder"], result)
-
-
-@pytest.mark.parametrize("max_combos", [1, 3, 7])
-def test_combo_shard_boundaries_are_invisible(
-    max_combos, designs, serial_reference
-):
-    """Splitting the BB-combination axis across shards must not move any
-    number: combo slices of the lattice tensor re-fold canonically."""
-    engine = ParallelExplorer(designs["booth"])  # 16 combos (2x2 grid)
-    for workers in (1, 2):
-        result = engine.run(
-            dataclasses.replace(SETTINGS, workers=workers),
-            max_combos_per_shard=max_combos,
-        )
-        assert_identical(serial_reference["booth"], result)
-
-
-@pytest.mark.parametrize("sta_engine", ["lattice", "pointwise"])
-def test_combo_shards_identical_across_sta_engines(
-    sta_engine, designs, serial_reference, monkeypatch
-):
-    """Combo-sliced shards agree with the serial sweep on the lattice
-    kernel and on the pointwise oracle (each shard runs a partial
-    pass over its combo slice)."""
-    if sta_engine == "pointwise":
-        require_fork()
-        force_pointwise(monkeypatch)
-    result = ParallelExplorer(designs["booth"]).run(
-        dataclasses.replace(SETTINGS, workers=2),
-        max_combos_per_shard=5,
-    )
-    assert_identical(serial_reference["booth"], result)
 
 
 @pytest.mark.parametrize("operator", OPERATORS)

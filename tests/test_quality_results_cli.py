@@ -168,6 +168,34 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["explore", "--design", "adder", "--grid", "circle"])
 
+    @pytest.mark.parametrize("grid", ["0x2", "axb", "2x2x2"])
+    @pytest.mark.parametrize(
+        "command", ["explore", "compare", "compile-table", "chaos"]
+    )
+    def test_bad_grid_fails_before_implementing(
+        self, capsys, monkeypatch, command, grid
+    ):
+        """A bad --grid is a usage error at parse time, not after the
+        design has been implemented."""
+        import repro.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the design was implemented")
+
+        monkeypatch.setattr(repro.cli, "select_clock_for", never)
+        monkeypatch.setattr(repro.cli, "implement_with_domains", never)
+        monkeypatch.setattr(repro.cli, "implement_base", never)
+        argv = [command, "--design", "booth", "--width", "16", "--grid", grid]
+        if command == "compile-table":
+            argv += ["--output", "t.json"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {command}")
+        assert f"error: argument --grid: bad grid {grid!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bits", ["99", "5", "0", "-1"])
     def test_report_timing_bits_outside_width_rejected(self, capsys, bits):
         code = main(

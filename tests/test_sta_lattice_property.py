@@ -9,7 +9,9 @@ lattice pass must satisfy no matter the graph:
   one scalar :meth:`StaEngine.analyze` call with the same factor row;
 * **Vth monotonicity** -- slowing any domain (larger delay factors)
   never increases a combo's worst slack, so the feasibility mask is
-  monotone in the bias lattice order;
+  monotone in the bias lattice order; raising any subset of per-(combo,
+  cell) factors never raises any slack either, which is the premise the
+  explorer's lattice search prunes by;
 * **permutation equivariance** -- the combo axis carries no state:
   permuting input rows permutes every output row identically;
 * **NMAX = 0 degeneracy** -- a domainless design collapses to the
@@ -170,6 +172,31 @@ def test_feasibility_monotone_in_vth(case, scale):
     slow = engine.analyze_factors(CONSTRAINT, factors * scale)
     assert np.all(slow.worst_slack_ps <= fast.worst_slack_ps)
     assert np.all(fast.feasible | ~slow.feasible)  # slow ⟹ fast feasible
+
+
+@given(case=random_lattice_case(), data=st.data())
+@PROPERTY_SETTINGS
+def test_slack_monotone_in_each_cell_factor(case, data):
+    """Raising any subset of per-(combo, cell) factors never raises any
+    slack: a cell switched from FBB to NoBB can only hurt, so an
+    assignment with an infeasible superset is infeasible itself."""
+    graph, domains, num_domains, factors = case
+    raised = data.draw(
+        st.lists(st.booleans(), min_size=factors.size, max_size=factors.size)
+    )
+    bumps = data.draw(
+        st.lists(
+            st.floats(0.0, 2.0), min_size=factors.size, max_size=factors.size
+        )
+    )
+    shape = factors.shape
+    slower = factors + np.where(
+        np.reshape(raised, shape), np.reshape(bumps, shape), 0.0
+    )
+    engine = LatticeStaEngine(graph, Library(), domains, num_domains)
+    base = engine.analyze_factors(CONSTRAINT, factors)
+    slow = engine.analyze_factors(CONSTRAINT, slower)
+    assert np.all(slow.worst_slack_ps <= base.worst_slack_ps)
 
 
 @given(case=random_lattice_case(), seed=st.integers(0, 2**31 - 1))
