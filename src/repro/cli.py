@@ -106,6 +106,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse ``type=`` for counts that may be 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _parse_grid(text: str) -> GridPartition:
     """argparse ``type=`` for ``--grid``: ``RxC`` with R, C >= 1."""
     try:
@@ -311,9 +322,15 @@ def cmd_compile_table(args) -> int:
 
 def _load_table(path):
     from repro.io.results import load_mode_table
+    from repro.serve.errors import ServeError
 
-    with open(path) as stream:
-        return load_mode_table(stream)
+    try:
+        with open(path) as stream:
+            return load_mode_table(stream)
+    except OSError as error:
+        raise ServeError(
+            f"cannot read mode table {path}: {error.strerror}"
+        ) from None
 
 
 def _policy_kwargs(args):
@@ -335,7 +352,7 @@ def _policy_kwargs(args):
 
 
 def _trace_workload(path):
-    """Load a `repro gen-traces` artifact as phases."""
+    """Load a `repro gen-traces` artifact as an ``(N, 2)`` phase array."""
     from repro.serve.errors import ServeError
     from repro.traces import TraceError, load_trace_file
 
@@ -424,7 +441,7 @@ def cmd_serve(args) -> int:
                 # stream is the workload, exactly as replay sees it.
                 everything = [
                     ("op0", bits, cycles)
-                    for bits, cycles in _trace_workload(args.trace)
+                    for bits, cycles in _trace_workload(args.trace).tolist()
                 ]
             else:
                 everything = list(
@@ -506,7 +523,7 @@ def cmd_fleet_serve(args) -> int:
         trace = [
             (f"op{index % args.operators}", bits, cycles)
             for index, (bits, cycles) in enumerate(
-                _trace_workload(args.trace)
+                _trace_workload(args.trace).tolist()
             )
         ]
     else:
@@ -549,25 +566,14 @@ def cmd_fleet_serve(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from repro.core.runtime import WorkloadPhase
     from repro.serve.scheduler import replay_trace
 
     table = _load_table(args.table)
     policy_kwargs = _policy_kwargs(args)
     if args.trace:
-        workload = [
-            WorkloadPhase(bits, cycles)
-            for bits, cycles in _trace_workload(args.trace)
-        ]
+        workload = _trace_workload(args.trace)
     else:
-        rng = np.random.default_rng(args.seed)
-        bitwidths = table.bitwidths
-        workload = [
-            WorkloadPhase(
-                int(rng.choice(bitwidths)), int(rng.integers(5_000, 100_000))
-            )
-            for _ in range(args.phases)
-        ]
+        workload = _random_phases(table.bitwidths, args.phases, args.seed)
     report = replay_trace(
         table,
         workload,
@@ -577,6 +583,22 @@ def cmd_replay(args) -> int:
     )
     print(f"policy {args.policy}: {report.summary()}")
     return 0
+
+
+def _random_phases(bitwidths, count: int, seed: int) -> np.ndarray:
+    """``count`` phases of uniform bits over *bitwidths* and cycles on
+    [5k, 100k), as an ``(N, 2)`` array.
+
+    One ``integers`` call with interleaved bounds draws exactly the
+    stream of a per-phase ``rng.choice(bitwidths)``,
+    ``rng.integers(5_000, 100_000)`` loop.
+    """
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(
+        np.tile([0, 5_000], count), np.tile([len(bitwidths), 100_000], count)
+    ).reshape(count, 2)
+    draws[:, 0] = np.asarray(bitwidths, dtype=np.int64)[draws[:, 0]]
+    return draws
 
 
 def cmd_gen_traces(args) -> int:
@@ -967,10 +989,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--table", required=True, help="compiled ModeTable JSON")
     p.add_argument(
-        "--phases", type=int, default=64, help="synthetic trace length"
+        "--phases",
+        type=_positive_int,
+        default=64,
+        help="synthetic trace length",
     )
     p.add_argument("--seed", type=int, default=2017)
-    p.add_argument("--window", type=int, default=4, help="lookahead window")
+    p.add_argument(
+        "--window",
+        type=_non_negative_int,
+        default=4,
+        help="lookahead window",
+    )
     p.set_defaults(func=cmd_replay)
 
     from repro.traces import TRACE_FAMILIES

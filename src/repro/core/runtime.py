@@ -22,7 +22,7 @@ the runtime selection to the application.  This module models that runtime:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,9 +120,13 @@ def pairwise_transition_cost(
     return (energy, settle_ns)
 
 
-@dataclass(frozen=True)
-class WorkloadPhase:
-    """A stretch of execution with a fixed accuracy requirement."""
+class WorkloadPhase(NamedTuple):
+    """A stretch of execution with a fixed accuracy requirement.
+
+    A plain ``(required_bits, cycles)`` pair, so a list of phases, a
+    list of pairs and a ``(N, 2)`` integer array are the same workload
+    to :func:`repro.serve.scheduler.replay_trace`.
+    """
 
     required_bits: int
     cycles: int

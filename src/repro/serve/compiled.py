@@ -16,8 +16,8 @@ ModeTable` into a :class:`CompiledTable` of flat numpy arrays instead:
   memoryless, so probing the real policy object once per
   ``(current mode, requested bits)`` pair turns ``decide()`` into a pure
   ``next_index[state, requested]`` lookup that is bit-identical by
-  construction (lookahead stays a small horizon scan -- see the
-  scheduler kernel);
+  construction (lookahead is priced per position in array passes --
+  see the scheduler kernel);
 * a margin-guard **availability bitmask** (plus the matching guarded
   cover table) that :meth:`~repro.serve.guard.MarginGuard.
   refresh_availability` updates in place whenever the environment is
@@ -87,7 +87,7 @@ class CompiledTable:
         self.transition_energy_j = energy
         self.transition_settle_ns = settle
         self.transition_free = (energy == 0.0) & (settle == 0.0)
-        # Python nested lists for the lookahead horizon scan (python
+        # Python nested lists for the scalar lookahead comparison (python
         # float arithmetic there must fold exactly like the policy's).
         self._energy_rows = energy.tolist()
         self._power_list = self.power_w.tolist()

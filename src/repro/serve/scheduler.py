@@ -24,10 +24,16 @@ concurrent operators contend for the finite pool.
 * the accuracy invariant is enforced centrally -- a policy bug surfaces
   as :class:`AccuracyViolation`, never as a silently wrong answer.
 
-:func:`replay_trace` runs an offline workload through the same machinery
-(one operator, unconstrained pool); with the greedy policy it reproduces
-the closed-form greedy accounting of ``tests/oracles/serve.py``
-bit-for-bit, which ``tests/test_serve_scheduler.py`` locks in.
+:func:`replay_trace` runs an offline workload -- any sequence of
+``(required_bits, cycles)`` pairs, such as the ``(N, 2)`` array
+:func:`repro.traces.load_trace_file` returns -- through the same
+machinery, as one frame of the batched kernel.  It is one operator on a
+pool that is idle whenever it asks, so no slew ever queues, batch-joins
+or degrades, and the frame's walk is the idle-pool tail: array passes
+and one sequential clock fold, with no ``GeneratorPool.acquire`` call.
+With the greedy policy it reproduces the closed-form greedy accounting
+of ``tests/oracles/serve.py`` bit-for-bit, which
+``tests/test_serve_scheduler.py`` locks in.
 
 Resilience (all opt-in, the default path is bit-identical to before):
 
@@ -76,7 +82,7 @@ from repro.serve.policy import (
     make_policy,
 )
 from repro.serve.table import ModeTable
-from repro.serve.telemetry import Telemetry
+from repro.serve.telemetry import Telemetry, sequential_sum
 
 
 class AccuracyViolation(RuntimeError):
@@ -177,6 +183,15 @@ class GeneratorPool:
     def num_available(self) -> int:
         return sum(self.available)
 
+    def idle_at(self, now_ns: float) -> bool:
+        """Every generator is up and done with its last slew by *now_ns*.
+
+        Then a slew requested at *now_ns* starts at once, and every
+        pending grant has ended (none ends after its generator's
+        ``free_at_ns``), so nothing is queued or can be batch-joined.
+        """
+        return all(self.available) and max(self.free_at_ns) <= now_ns
+
     def _prune(self, now_ns: float) -> None:
         self.pending = [g for g in self.pending if g.end_ns > now_ns]
 
@@ -274,10 +289,10 @@ class _OperatorPlan:
     """One operator's planned slice of a batched frame.
 
     ``positions`` are the operator's indices into the global frame;
-    everything else is own-indexed.  ``complex_events`` lists the
-    positions whose transition must talk to the generator pool, as
-    ``(own_index, state_row_before)`` in order; the walk consumes them
-    via ``complex_ptr`` and replans the suffix after a degradation.
+    everything else is own-indexed.  ``event_own`` / ``event_row`` list
+    the positions whose transition must talk to the generator pool, and
+    the state row each leaves, in order; the walk consumes them via
+    ``complex_ptr`` and replans the suffix after a degradation.
     """
 
     name: str
@@ -298,8 +313,10 @@ class _OperatorPlan:
     dtable: Optional[np.ndarray] = None
     dtable_list: Optional[List[List[int]]] = None
     bits_list: List[int] = field(default_factory=list)
-    cycles_list: List[int] = field(default_factory=list)
     cover_pos: Optional[np.ndarray] = None
+    #: Lookahead plans only: ``(nontrivial, exact, inherited)`` over the
+    #: positions, from :meth:`ModeScheduler._lookahead_inherited`.
+    inherited: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     #: The operator's demand tracker after the whole frame folds in
     #: (learned plans only; committed during accounting).
     final_tracker: Optional[DemandTracker] = None
@@ -307,7 +324,8 @@ class _OperatorPlan:
     #: Pure function of the request stream, so a degradation replan
     #: re-derives decisions from any forced mode without re-folding.
     learned_buckets: List[Tuple[int, int]] = field(default_factory=list)
-    complex_events: List[Tuple[int, int]] = field(default_factory=list)
+    event_own: List[int] = field(default_factory=list)
+    event_row: List[int] = field(default_factory=list)
     complex_ptr: int = 0
     fold_ptr: int = 0
     clock: float = 0.0
@@ -725,8 +743,7 @@ class ModeScheduler:
         )
 
         # Per-operator accounting: every float accumulator is folded
-        # left-to-right in python, replicating the scalar += sequence
-        # bit-for-bit (numpy reductions would sum pairwise).
+        # left to right, as the scalar += sequence folds it.
         op_counts: Dict[str, int] = {}
         for plan in plans:
             comp = plan.compiled
@@ -741,24 +758,19 @@ class ModeScheduler:
             state = plan.state
             op_counts[plan.name] = len(plan.bits)
             state.phases += len(plan.bits)
-            state.cycles += int(plan.cycles.sum())
-            acc = state.compute_energy_j
-            for value in ce.tolist():
-                acc += value
-            state.compute_energy_j = acc
-            acc = state.transition_energy_j
-            for value in trans_e[pos].tolist():
-                acc += value
-            state.transition_energy_j = acc
-            acc = state.transition_time_ns
-            for value in settle[pos].tolist():
-                acc += value
-            state.transition_time_ns = acc
+            # Python ints, as the scalar path sums them: int64 can wrap.
+            state.cycles += sum(plan.cycles.tolist())
+            state.compute_energy_j = sequential_sum(
+                state.compute_energy_j, ce
+            )
+            state.transition_energy_j = sequential_sum(
+                state.transition_energy_j, trans_e[pos]
+            )
+            state.transition_time_ns = sequential_sum(
+                state.transition_time_ns, settle[pos]
+            )
             state.switches += int(np.count_nonzero(plan.switched))
-            acc = state.static_energy_j
-            for value in se.tolist():
-                acc += value
-            state.static_energy_j = acc
+            state.static_energy_j = sequential_sum(state.static_energy_j, se)
             state.current_bits = comp.keys[int(plan.decisions[-1])]
             state.clock_ns = plan.clock
             if plan.final_tracker is not None:
@@ -945,8 +957,6 @@ class ModeScheduler:
                     if upcoming_cap is None
                     else min(policy.window, upcoming_cap)
                 )
-                plan.bits_list = op_bits.tolist()
-                plan.cycles_list = op_cycles.tolist()
                 plan.cover_pos = comp.cover_index[op_bits]
 
             start_row = (
@@ -1019,7 +1029,8 @@ class ModeScheduler:
             available = comp.mode_available.tolist()
             guarded = comp.guarded_cover_index.tolist()
         free = comp._free_rows
-        events = plan.complex_events
+        event_own = plan.event_own
+        event_row = plan.event_row
 
         seg = bits[start:]
         change = np.flatnonzero(seg[1:] != seg[:-1]) + start + 1
@@ -1044,7 +1055,8 @@ class ModeScheduler:
             if head != row:
                 head_switched.append(True)
                 if not free[row][head]:
-                    events.append((starts_l[index], row))
+                    event_own.append(starts_l[index])
+                    event_row.append(row)
             else:
                 head_switched.append(False)
             if lengths_l[index] > 1:
@@ -1111,7 +1123,8 @@ class ModeScheduler:
             available = comp.mode_available.tolist()
             guarded = comp.guarded_cover_index.tolist()
         free = comp._free_rows
-        events = plan.complex_events
+        event_own = plan.event_own
+        event_row = plan.event_row
         bits_list = plan.bits_list
         bucket_list = plan.learned_buckets
         decisions: List[int] = []
@@ -1130,7 +1143,8 @@ class ModeScheduler:
             if decision != row:
                 switched.append(True)
                 if not free[row][decision]:
-                    events.append((offset, row))
+                    event_own.append(offset)
+                    event_row.append(row)
                 row = decision
             else:
                 switched.append(False)
@@ -1143,111 +1157,181 @@ class ModeScheduler:
     ) -> None:
         """Fill decisions for ``[start:]`` from state *row* (lookahead).
 
-        Positions whose whole horizon maps to one covering mode are
-        *trivial* -- the policy's early return makes the decision
-        state-independent, so maximal trivial prefixes of each cover run
-        are assigned in one slice.  The rest get the policy's exact plan
-        comparison, folded in python float arithmetic that mirrors
-        ``LookaheadPolicy._plan_energy_j`` operation for operation.
+        A decision depends on the current mode only through the first
+        transition term of each plan's cost.  :meth:`_lookahead_inherited`
+        prices every position once, in array passes, for the row it
+        inherits when the previous position serves its own cover mode.
+        This pass takes those decisions and redoes the exact comparison
+        (:meth:`_lookahead_decide`) only where the actual row differs:
+        at *start*, after a held peak and after a guard substitution.
         """
         total = len(plan.bits)
         if start >= total:
             return
         comp = plan.compiled
-        window = plan.window
-        bits_l = plan.bits_list
-        cycles_l = plan.cycles_list
-        cover_own = plan.cover_pos.tolist()
-        cover_of_bits = comp._cover_list
-        trans_rows = comp._energy_rows
-        power = comp._power_list
-        free = comp._free_rows
-        denom = comp.denom_hz
+        if plan.inherited is None:
+            plan.inherited = self._lookahead_inherited(plan)
+        nontrivial, exact, inherited = plan.inherited
+        nontrivial = nontrivial[start:]
+        exact = exact[start:]
+        cover = plan.cover_pos[start:]
+        decisions = inherited[start:].copy()
+        guard_active = plan.guard_active
+        if guard_active:
+            flags = ~comp.mode_available[decisions]
+            decisions[flags] = comp.guarded_cover_index[
+                plan.bits[start:][flags]
+            ]
+        else:
+            flags = np.zeros(total - start, dtype=bool)
+
+        # Positions whose inherited row is wrong or was never priced.
+        redo = nontrivial & ~exact
+        redo[1:] |= nontrivial[1:] & (decisions[:-1] != cover[:-1])
+        redo[0] = nontrivial[0]
+        queue = np.flatnonzero(redo).tolist()
         available = comp.mode_available
         guarded = comp.guarded_cover_index
-        guard_active = plan.guard_active
-        decisions = plan.decisions
-        switched = plan.switched
-        margin = plan.margin
-        events = plan.complex_events
-
-        idx = np.arange(start, total, dtype=np.int64)
-        horizon = np.minimum(window, total - 1 - idx)
-        seg = plan.cover_pos[start:]
-        change = np.flatnonzero(seg[1:] != seg[:-1]) + start + 1
-        bounds = np.concatenate((change, [total]))
-        run_end = bounds[np.searchsorted(bounds, idx, side="right")]
-        trivial = (run_end >= idx + horizon + 1).tolist()
-        run_end_l = run_end.tolist()
-        horizon_l = horizon.tolist()
-
-        j = start
-        while j < total:
-            own = j - start
-            if trivial[own]:
-                decision = cover_own[j]
-                flag = False
-                if guard_active and not available[decision]:
-                    # Guarded substitution depends on the exact bits,
-                    # which may differ within a cover run: go one by one.
-                    decision = int(guarded[bits_l[j]])
-                    flag = True
-                    end = j + 1
-                else:
-                    r = run_end_l[own]
-                    # Inside a cover run, positions stay trivial until
-                    # the horizon starts peeking past the run (the last
-                    # run of the trace never does).
-                    end = r if r == total else max(j + 1, r - window)
-                decisions[j:end] = decision
-                switched[j:end] = False
-                margin[j:end] = False
-                margin[j] = flag
-                if decision != row:
-                    switched[j] = True
-                    if not free[row][decision]:
-                        events.append((j, row))
-                row = decision
-                j = end
+        last = total - start - 1
+        popped = 0
+        carry = -1
+        while True:
+            if carry >= 0:
+                i = carry
+                carry = -1
+                if popped < len(queue) and queue[popped] == i:
+                    popped += 1
+            elif popped < len(queue):
+                i = queue[popped]
+                popped += 1
+                if i and exact[i] and decisions[i - 1] == cover[i - 1]:
+                    continue  # the predecessor was redone onto its cover
             else:
-                span = horizon_l[own]
-                head_bits = bits_l[j]
-                future = cycles_l[j + 1 : j + 1 + span]
-                mean_cycles = sum(future) // span if span else 0
-                keys = cover_own[j : j + span + 1]
-                peak_bits = head_bits
-                for step in range(1, span + 1):
-                    if bits_l[j + step] > peak_bits:
-                        peak_bits = bits_l[j + step]
-                peak = cover_of_bits[peak_bits]
-                cycle_seq = [mean_cycles, *future]
-                greedy_cost = 0.0
-                current = row
-                for key, cyc in zip(keys, cycle_seq):
-                    greedy_cost += trans_rows[current][key]
-                    greedy_cost += power[key] * cyc / denom
-                    current = key
-                hold_cost = 0.0
-                current = row
-                for cyc in cycle_seq:
-                    hold_cost += trans_rows[current][peak]
-                    hold_cost += power[peak] * cyc / denom
-                    current = peak
-                decision = peak if hold_cost < greedy_cost else keys[0]
-                flag = False
-                if guard_active and not available[decision]:
-                    decision = int(guarded[head_bits])
-                    flag = True
-                decisions[j] = decision
-                margin[j] = flag
-                if decision != row:
-                    switched[j] = True
-                    if not free[row][decision]:
-                        events.append((j, row))
-                else:
-                    switched[j] = False
-                row = decision
-                j += 1
+                break
+            before = row if i == 0 else int(decisions[i - 1])
+            decision = self._lookahead_decide(plan, start + i, before)
+            flag = guard_active and not available[decision]
+            if flag:
+                decision = int(guarded[plan.bits[start + i]])
+            decisions[i] = decision
+            flags[i] = flag
+            if i < last and nontrivial[i + 1] and decision != cover[i]:
+                carry = i + 1
+
+        rows = np.empty_like(decisions)
+        rows[0] = row
+        rows[1:] = decisions[:-1]
+        switched = decisions != rows
+        costly = np.flatnonzero(
+            switched & ~comp.transition_free[rows, decisions]
+        )
+        plan.decisions[start:] = decisions
+        plan.switched[start:] = switched
+        plan.margin[start:] = flags
+        plan.event_own.extend((costly + start).tolist())
+        plan.event_row.extend(rows[costly].tolist())
+
+    @staticmethod
+    def _lookahead_decide(plan: _OperatorPlan, j: int, row: int) -> int:
+        """The lookahead policy's raw decision at a non-trivial own
+        position *j* from state *row*: its plan comparison, folded in
+        python float arithmetic that mirrors
+        ``LookaheadPolicy._plan_energy_j`` operation for operation."""
+        comp = plan.compiled
+        span = min(plan.window, len(plan.bits) - 1 - j)
+        future = plan.cycles[j + 1 : j + 1 + span].tolist()
+        mean_cycles = sum(future) // span
+        keys = plan.cover_pos[j : j + span + 1].tolist()
+        peak = comp._cover_list[int(plan.bits[j : j + span + 1].max())]
+        trans_rows = comp._energy_rows
+        power = comp._power_list
+        denom = comp.denom_hz
+        cycle_seq = [mean_cycles, *future]
+        greedy_cost = 0.0
+        current = row
+        for key, cyc in zip(keys, cycle_seq):
+            greedy_cost += trans_rows[current][key]
+            greedy_cost += power[key] * cyc / denom
+            current = key
+        hold_cost = 0.0
+        current = row
+        for cyc in cycle_seq:
+            hold_cost += trans_rows[current][peak]
+            hold_cost += power[peak] * cyc / denom
+            current = peak
+        return peak if hold_cost < greedy_cost else keys[0]
+
+    @staticmethod
+    def _lookahead_inherited(
+        plan: _OperatorPlan,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(nontrivial, exact, inherited)`` over the plan's positions.
+
+        A position is *trivial* when its whole horizon maps to one cover
+        mode: the policy's early return serves that mode from any row,
+        and ``inherited`` holds it.  At every other position ``j > 0``,
+        ``inherited`` is the plan comparison from row ``cover[j - 1]``,
+        priced across positions in ``LookaheadPolicy._plan_energy_j``'s
+        operation order (``+= transition``, then ``+= power * cycles /
+        denom``; steps past a short horizon are skipped with ``where=``)
+        and ``exact`` marks it.  The int64 window sums equal python's
+        only if the prefix sum cannot wrap, so otherwise no position is
+        priced here and the scalar comparison handles all of them.
+        """
+        comp = plan.compiled
+        window = plan.window
+        cover = plan.cover_pos
+        cycles = plan.cycles
+        total = len(cover)
+        index = np.arange(total, dtype=np.int64)
+        horizon = np.minimum(window, total - 1 - index)
+        bounds = np.append(np.flatnonzero(cover[1:] != cover[:-1]) + 1, total)
+        run_end = bounds[np.searchsorted(bounds, index, side="right")]
+        nontrivial = run_end < index + horizon + 1
+        exact = np.zeros(total, dtype=bool)
+        inherited = cover.copy()
+        at = np.flatnonzero(nontrivial[1:]) + 1
+        if at.size == 0 or total * int(cycles.max()) > np.iinfo(np.int64).max:
+            return nontrivial, exact, inherited
+        span = horizon[at]
+        prefix = np.concatenate(([0], np.cumsum(cycles)))
+        mean_cycles = (prefix[at + 1 + span] - prefix[at + 1]) // span
+        bits = plan.bits
+        peak_bits = bits[at]
+        for step in range(1, window + 1):
+            later = bits[np.minimum(at + step, total - 1)]
+            peak_bits = np.where(
+                step <= span, np.maximum(peak_bits, later), peak_bits
+            )
+        peak = comp.cover_index[peak_bits]
+        first = cover[at]
+        row = cover[at - 1]
+        energy = comp.transition_energy_j
+        power = comp.power_w
+        denom = comp.denom_hz
+        greedy_cost = np.zeros(at.size)
+        greedy_cost += energy[row, first]
+        greedy_cost += power[first] * mean_cycles / denom
+        hold_cost = np.zeros(at.size)
+        hold_cost += energy[row, peak]
+        hold_cost += power[peak] * mean_cycles / denom
+        current = first
+        for step in range(1, window + 1):
+            live = step <= span
+            later = np.minimum(at + step, total - 1)
+            key = cover[later]
+            cyc = cycles[later]
+            for cost, term in (
+                (greedy_cost, energy[current, key]),
+                (greedy_cost, power[key] * cyc / denom),
+                (hold_cost, energy[peak, peak]),
+                (hold_cost, power[peak] * cyc / denom),
+            ):
+                np.add(cost, term, out=cost, where=live)
+            current = key
+        inherited[at] = np.where(hold_cost < greedy_cost, peak, first)
+        exact[at] = True
+        return nontrivial, exact, inherited
 
     def _walk_frame(
         self,
@@ -1266,7 +1350,9 @@ class ModeScheduler:
         interact with the generator pool; everything between consecutive
         complex positions of one operator is a pure prefix sum of
         compute durations.  Complex positions are consumed in global
-        frame order so the pool sees the exact scalar call sequence.
+        frame order so the pool sees the exact scalar call sequence,
+        until one operator is left with events on a pool that is idle
+        at its clock: the rest is :meth:`_walk_idle_tail`.
         """
         pool = self.pool
         depth_limit = self.max_queue_depth
@@ -1279,21 +1365,28 @@ class ModeScheduler:
         while True:
             best: Optional[_OperatorPlan] = None
             best_global = -1
+            waiting = 0
             for plan in plans:
-                if plan.complex_ptr < len(plan.complex_events):
-                    own, _ = plan.complex_events[plan.complex_ptr]
-                    at = plan.positions_list[own]
+                if plan.complex_ptr < len(plan.event_own):
+                    waiting += 1
+                    at = plan.positions_list[plan.event_own[plan.complex_ptr]]
                     if best is None or at < best_global:
                         best = plan
                         best_global = at
             if best is None:
                 break
             plan = best
-            own, row_before = plan.complex_events[plan.complex_ptr]
-            plan.complex_ptr += 1
+            own = plan.event_own[plan.complex_ptr]
+            row_before = plan.event_row[plan.complex_ptr]
             self._fold_clock(plan, own, decided_at, need_decided)
-            comp = plan.compiled
             now = plan.clock
+            if waiting == 1 and pool.idle_at(now):
+                self._walk_idle_tail(
+                    plan, decided_at, need_decided, settle, trans_e
+                )
+                break
+            plan.complex_ptr += 1
+            comp = plan.compiled
             if need_decided:
                 decided_at[best_global] = now
             decision = int(plan.decisions[own])
@@ -1313,7 +1406,8 @@ class ModeScheduler:
                     trans_e[best_global] = float(
                         comp.transition_energy_j[row_before, static]
                     )
-                plan.complex_events = []
+                plan.event_own = []
+                plan.event_row = []
                 plan.complex_ptr = 0
                 if plan.kind == "memoryless":
                     self._plan_memoryless(plan, own + 1, static)
@@ -1341,6 +1435,84 @@ class ModeScheduler:
             plan.fold_ptr = own + 1
         for plan in plans:
             self._fold_clock(plan, len(plan.bits), decided_at, need_decided)
+
+    def _walk_idle_tail(
+        self,
+        plan: _OperatorPlan,
+        decided_at: List[float],
+        need_decided: bool,
+        settle: np.ndarray,
+        trans_e: np.ndarray,
+    ) -> None:
+        """Finish *plan*'s walk on an idle pool in array passes.
+
+        The caller checked the premise at the plan's next event: no other
+        operator has events left, and :meth:`GeneratorPool.idle_at` the
+        plan's clock.  Then every grant starts at its request (queue
+        wait 0), ``_prune`` empties ``pending`` before it (nothing
+        batch-joins) and the depth stays 0 (nothing degrades).  The
+        premise holds at the next event too: the clock passes each
+        grant's end before it, and terms are >= 0.  So the clock is one
+        sequential fold over interleaved ``[settle, term]`` increments --
+        ``np.cumsum`` adds in sequence, bit for bit the scalar chain --
+        and the pool is left as the scalar ``acquire`` sequence leaves
+        it.  Settle is recorded as ``end - start``, as the scalar walk
+        does, which can differ from the table's settle in the last bit.
+        """
+        comp = plan.compiled
+        pool = self.pool
+        begin = plan.fold_ptr
+        total = len(plan.bits)
+        own = np.asarray(plan.event_own[plan.complex_ptr :], dtype=np.int64)
+        rows = np.asarray(plan.event_row[plan.complex_ptr :], dtype=np.int64)
+        plan.complex_ptr = len(plan.event_own)
+        served = plan.decisions[own]
+        # Each position adds its term, an event adds its settle first;
+        # clock[offset[k]] is the clock as position begin + k starts.
+        width = np.ones(total - begin, dtype=np.int64)
+        width[own - begin] = 2
+        offset = np.cumsum(width) - width
+        at = offset[own - begin]
+        chain = np.empty(total - begin + len(own) + 1)
+        chain[0] = plan.clock
+        chain[offset + width] = plan.terms[begin:]
+        chain[at + 1] = comp.transition_settle_ns[rows, served]
+        clock = np.cumsum(chain)
+        start = clock[at]
+        end = clock[at + 1]
+        where = plan.positions[own]
+        settle[where] = end - start
+        trans_e[where] = comp.transition_energy_j[rows, served]
+        if need_decided:
+            for position, now in zip(
+                plan.positions_list[begin:], clock[offset].tolist()
+            ):
+                decided_at[position] = now
+        plan.clock = float(clock[-1])
+        plan.fold_ptr = total
+
+        ends = end.tolist()
+        free = pool.free_at_ns
+        generator = 0
+        if pool.size == 1:
+            free[0] = ends[-1]
+        else:
+            for value in ends:
+                generator = min(range(pool.size), key=free.__getitem__)
+                free[generator] = value
+        # The last acquire's own depth probe prunes every earlier grant,
+        # and its own one too when it ended as it started.
+        last_start = float(start[-1])
+        pool.pending = []
+        if ends[-1] > last_start:
+            pool.pending.append(
+                _Grant(
+                    comp.signatures[int(served[-1])],
+                    last_start,
+                    ends[-1],
+                    generator,
+                )
+            )
 
     @staticmethod
     def _fold_clock(
@@ -1474,6 +1646,9 @@ def replay_trace(
 ) -> RuntimeReport:
     """Replay an offline trace through the scheduler; return the report.
 
+    *workload* is any sequence of ``(required_bits, cycles)`` pairs:
+    :class:`~repro.core.runtime.WorkloadPhase` objects, tuples, or the
+    ``(N, 2)`` int64 array :func:`repro.traces.load_trace_file` returns.
     Single operator, pool never saturated (depth bound is the trace
     length), so the only differences between policies are the selection
     decisions themselves.  The lookahead policy sees the next
@@ -1481,25 +1656,25 @@ def replay_trace(
     as one frame of the batched kernel, which is bit-identical to
     submitting the phases one by one.
     """
-    if not workload:
+    phases = np.asarray(workload, dtype=np.int64)
+    if phases.size == 0:
         raise ValueError("empty workload")
+    if phases.ndim != 2 or phases.shape[1] != 2:
+        raise ValueError("workload must be (required_bits, cycles) pairs")
     if policy == "lookahead" and "window" not in policy_kwargs:
         policy_kwargs["window"] = lookahead_window
     scheduler = ModeScheduler(
         table,
         num_generators=num_generators,
         policy=policy,
-        max_queue_depth=len(workload) + 1,
+        max_queue_depth=len(phases) + 1,
         policy_kwargs=policy_kwargs,
     )
-    count = len(workload)
-    bits = np.fromiter((p.required_bits for p in workload), np.int64, count)
-    cycles = np.fromiter((p.cycles for p in workload), np.int64, count)
     # Report-only: no phases, no result arrays -- just accounting.
     scheduler._serve_frame(
         "replay",
-        bits,
-        cycles,
+        np.ascontiguousarray(phases[:, 0]),
+        np.ascontiguousarray(phases[:, 1]),
         want_phases=False,
         want_arrays=False,
         upcoming_cap=lookahead_window if policy == "lookahead" else 0,

@@ -15,6 +15,21 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 
+def sequential_sum(acc: float, values: np.ndarray) -> float:
+    """``acc + values[0] + values[1] + ...``, folded left to right.
+
+    Bit-identical to a loop of python ``acc += value``: ``np.cumsum``
+    (``np.add.accumulate``) adds in sequence, whereas ``np.sum`` and
+    ``np.add.reduce`` add pairwise and can differ in the last ulp.
+    """
+    if values.size == 0:
+        return acc
+    chain = np.empty(values.size + 1)
+    chain[0] = acc
+    chain[1:] = values
+    return float(np.cumsum(chain)[-1])
+
+
 def geometric_bounds(
     lo: float, hi: float, per_decade: int = 4
 ) -> List[float]:
@@ -65,9 +80,9 @@ class Histogram:
 
         Bucket indices come from a vectorized ``searchsorted`` with the
         same on-boundary adjustment as the scalar path, and the counts
-        land via ``bincount``.  The running ``sum`` is still folded
-        left-to-right in python float arithmetic -- a numpy reduction
-        would sum pairwise and drift from N scalar ``record`` calls.
+        land via ``bincount``.  The running ``sum`` is folded left to
+        right by :func:`sequential_sum`, as N scalar ``record`` calls
+        would fold it.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
@@ -83,10 +98,7 @@ class Histogram:
         ):
             self.counts[bucket] += count
         self.total += int(values.size)
-        acc = self.sum
-        for value in values.tolist():
-            acc += value
-        self.sum = acc
+        self.sum = sequential_sum(self.sum, values)
         lo = float(values.min())
         hi = float(values.max())
         self.min = lo if self.min is None else min(self.min, lo)

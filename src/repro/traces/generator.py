@@ -40,7 +40,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Schema version of the serialized trace artifact.
 TRACE_SCHEMA = 1
@@ -67,13 +70,8 @@ class WorkloadTrace:
     schema: int = TRACE_SCHEMA
 
     def __post_init__(self):
-        for bits, cycles in self.phases:
-            if bits <= 0:
-                raise TraceError(f"phase bits must be positive, got {bits}")
-            if cycles <= 0:
-                raise TraceError(
-                    f"phase cycles must be positive, got {cycles}"
-                )
+        rows = phase_array(self.phases).tolist()
+        object.__setattr__(self, "phases", tuple(map(tuple, rows)))
 
     def to_phases(self) -> List[Tuple[int, int]]:
         """The trace as the ``[(bits, cycles), ...]`` list replay expects."""
@@ -91,43 +89,97 @@ class WorkloadTrace:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "WorkloadTrace":
-        if not isinstance(payload, dict):
-            raise TraceError("trace document must be a JSON object")
-        if payload.get("kind") != TRACE_KIND:
-            raise TraceError(
-                f"not a workload trace (kind={payload.get('kind')!r})"
-            )
-        schema = payload.get("schema")
-        if schema != TRACE_SCHEMA:
-            raise TraceError(
-                f"unsupported trace schema {schema!r}; "
-                f"this build reads schema {TRACE_SCHEMA}"
-            )
-        try:
-            phases = tuple(
-                (int(bits), int(cycles))
-                for bits, cycles in payload["phases"]
-            )
-            return cls(
-                family=str(payload["family"]),
-                seed=int(payload["seed"]),
-                params=dict(payload.get("params", {})),
-                phases=phases,
-                schema=int(schema),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceError(f"malformed trace document: {exc}") from exc
+        family, seed, params, phases = _parse_document(payload)
+        return cls(family=family, seed=seed, params=params, phases=phases)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "WorkloadTrace":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"trace file {path} is not valid JSON") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(_read_json(path))
+
+
+def phase_array(phases) -> "np.ndarray":
+    """*phases* as a validated ``(N, 2)`` int64 array of (bits, cycles).
+
+    One conversion and whole-array checks; a bad phase raises
+    :class:`TraceError` naming the first offending value, in trace order
+    and bits before cycles.
+    """
+    import numpy as np
+
+    try:
+        array = np.asarray(phases, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TraceError(_first_malformed(phases, exc)) from exc
+    if array.shape == (0,):
+        return array.reshape(0, 2)
+    if array.ndim == 0:
+        raise TraceError(
+            f"phases must be a list of [bits, cycles] pairs, got {phases!r}"
+        )
+    if array.ndim != 2 or array.shape[1] != 2:
+        raise TraceError(
+            f"phase 0 is {array[0].tolist()!r}, not a [bits, cycles] pair"
+        )
+    bad = (array <= 0).any(axis=1)
+    if bad.any():
+        bits, cycles = array[int(bad.argmax())].tolist()
+        if bits <= 0:
+            raise TraceError(f"phase bits must be positive, got {bits}")
+        raise TraceError(f"phase cycles must be positive, got {cycles}")
+    return array
+
+
+def _first_malformed(phases, error: Exception) -> str:
+    """Why :func:`phase_array` could not convert *phases*, naming the
+    first phase that is not a pair of 64-bit integers."""
+    import numpy as np
+
+    if isinstance(phases, (list, tuple)):
+        for index, phase in enumerate(phases):
+            try:
+                pair = np.asarray(phase, dtype=np.int64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                return f"phase {index} is {phase!r}: {exc}"
+            if pair.shape != (2,):
+                return f"phase {index} is {phase!r}, not a [bits, cycles] pair"
+    return f"phases must be a list of [bits, cycles] pairs: {error}"
+
+
+def _read_json(path) -> Any:
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise TraceError(f"trace file {path} is not valid JSON") from exc
+
+
+def _parse_document(
+    payload: Any,
+) -> Tuple[str, int, Dict[str, Any], "np.ndarray"]:
+    """(family, seed, params, phase array) of a trace document."""
+    if not isinstance(payload, dict):
+        raise TraceError("trace document must be a JSON object")
+    if payload.get("kind") != TRACE_KIND:
+        raise TraceError(
+            f"not a workload trace (kind={payload.get('kind')!r})"
+        )
+    schema = payload.get("schema")
+    if schema != TRACE_SCHEMA:
+        raise TraceError(
+            f"unsupported trace schema {schema!r}; "
+            f"this build reads schema {TRACE_SCHEMA}"
+        )
+    try:
+        return (
+            str(payload["family"]),
+            int(payload["seed"]),
+            dict(payload.get("params", {})),
+            phase_array(payload["phases"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceError(f"malformed trace document: {exc}") from exc
 
 
 def _cycles(rng: random.Random, mean_cycles: int) -> int:
@@ -332,6 +384,14 @@ def generate_suite(
     }
 
 
-def load_trace_file(path) -> List[Tuple[int, int]]:
-    """Load the phases of the :class:`WorkloadTrace` document at *path*."""
-    return WorkloadTrace.load(path).to_phases()
+def load_trace_file(path) -> "np.ndarray":
+    """The phases of the :class:`WorkloadTrace` document at *path*.
+
+    Returns the validated ``(N, 2)`` int64 array of ``(required_bits,
+    cycles)`` rows that :func:`repro.serve.scheduler.replay_trace` takes
+    as is; a document with no phases is a :class:`TraceError`.
+    """
+    phases = _parse_document(_read_json(path))[3]
+    if not len(phases):
+        raise TraceError(f"trace file {path} has no phases")
+    return phases

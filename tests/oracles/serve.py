@@ -14,10 +14,12 @@ semantics that kernel is held to, bit for bit, are spelled out here:
   per-request loop instead of the batched fast path;
 * :func:`replay_reference` -- the closed-form greedy accounting the
   scheduler reproduces, computed straight from an
-  :class:`~repro.core.runtime.AccuracyController`.
+  :class:`~repro.core.runtime.AccuracyController`;
+* :func:`pool_state` -- what a later request can see of a scheduler's
+  generator pool, so engines are compared on it too.
 """
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import OperatingPoint
 from repro.core.runtime import AccuracyController, RuntimeReport, WorkloadPhase
@@ -57,6 +59,22 @@ def replay_scalar(
             upcoming=upcoming,
         )
     return scheduler.report("replay")
+
+
+def pool_state(scheduler: ModeScheduler) -> Tuple:
+    """Every field of the generator pool a later request can observe:
+    free times, availability, the deepest queue seen, and the pending
+    grants as (signature, start, end, generator)."""
+    pool = scheduler.pool
+    return (
+        list(pool.free_at_ns),
+        list(pool.available),
+        pool.max_depth_seen,
+        [
+            (grant.signature, grant.start_ns, grant.end_ns, grant.generator)
+            for grant in pool.pending
+        ],
+    )
 
 
 def force_per_request_fleet(monkeypatch) -> None:

@@ -226,3 +226,54 @@ class TestCli:
         assert err.startswith("usage: repro chaos")
         assert f"error: argument {flag}: must be at least 1, got {value}" in err
         assert "Traceback" not in err
+
+
+class TestReplayMisuse:
+    """`repro replay` misuse exits 2 with one `error:` line naming the
+    flag or the file, and no traceback."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        from repro.io.results import save_mode_table
+        from repro.traces import generate_trace
+        from tests.conftest import build_synthetic_table
+
+        table = tmp_path / "table.json"
+        with open(table, "w") as stream:
+            save_mode_table(build_synthetic_table(), stream)
+        empty = tmp_path / "empty_trace.json"
+        document = generate_trace("bursty", seed=1, length=4).to_dict()
+        document["phases"] = []
+        empty.write_text(json.dumps(document))
+        return {
+            "table": str(table),
+            "missing": str(tmp_path / "missing_table.json"),
+            "empty": str(empty),
+        }
+
+    @pytest.mark.parametrize(
+        "args, names",
+        [
+            (["--phases", "0"], "argument --phases: must be at least 1"),
+            (["--phases", "-5"], "argument --phases: must be at least 1"),
+            (
+                ["--policy", "lookahead", "--window", "-1"],
+                "argument --window: must be at least 0",
+            ),
+            (["--trace", "{empty}"], "{empty} has no phases"),
+            (["--table", "{missing}"], "mode table {missing}: No such file"),
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, capsys, paths, args, names):
+        argv = ["replay", "--table", paths["table"]]
+        argv += [arg.format(**paths) for arg in args]
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert names.format(**paths) in errors[0]

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.runtime import WorkloadPhase
+from repro.core.runtime import BiasGeneratorModel, WorkloadPhase
 from repro.faults.environment import SiliconEnvironment
 from repro.faults.events import KIND_TEMP_DRIFT, FaultEvent, FaultSchedule
 from repro.io.results import save_mode_table
@@ -32,6 +32,7 @@ from repro.serve import (
     ServeRequest,
     replay_trace,
 )
+from repro.serve.scheduler import GeneratorPool
 from repro.serve.server import phase_to_dict
 from tests.conftest import (
     build_learned_table,
@@ -41,6 +42,7 @@ from tests.conftest import (
 from tests.oracles.serve import (
     ScalarFrameScheduler,
     force_per_request_fleet,
+    pool_state,
     replay_scalar,
 )
 
@@ -95,6 +97,7 @@ def assert_schedulers_equal(scalar, batch):
     assert sorted(scalar.operators) == sorted(batch.operators)
     for operator in scalar.operators:
         assert scalar.report(operator) == batch.report(operator)
+    assert pool_state(scalar) == pool_state(batch)
 
 
 class TestReplayDifferential:
@@ -149,6 +152,112 @@ class TestReplayDifferential:
             assert replay_scalar(
                 table, trace, policy=policy
             ) == replay_trace(table, trace, policy=policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_idle_pool_walk_acquires_nothing(self, monkeypatch, policy):
+        # A replay is one operator on a drained pool: its whole walk is
+        # the idle tail, which never calls GeneratorPool.acquire.
+        calls = []
+        real_acquire = GeneratorPool.acquire
+
+        def counting_acquire(pool, *args):
+            calls.append(args)
+            return real_acquire(pool, *args)
+
+        monkeypatch.setattr(GeneratorPool, "acquire", counting_acquire)
+        table = build_synthetic_table()
+        trace = phase_trace(400, seed=3)
+        expected = replay_scalar(table, trace, policy=policy)
+        assert calls
+        calls.clear()
+        assert replay_trace(table, trace, policy=policy) == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_lookahead_held_peaks(self, window):
+        # Costly slews and short phases: lookahead holds the peak mode
+        # across low blips, so the positions after a hold inherit a row
+        # the array pass did not assume and must be compared again.
+        table = build_synthetic_table(
+            BiasGeneratorModel(well_cap_ff_per_um2=80.0)
+        )
+        rng = np.random.default_rng(window)
+        trace = [
+            WorkloadPhase(int(rng.choice((2, 8, 8, 6))), int(c))
+            for c in rng.integers(0, 120, size=300)
+        ]
+        held = replay_trace(
+            table, trace, policy="lookahead", lookahead_window=window
+        )
+        assert held == replay_scalar(
+            table, trace, policy="lookahead", lookahead_window=window
+        )
+        assert held.mode_switches < replay_trace(table, trace).mode_switches
+
+    @pytest.mark.parametrize(
+        "scale", [2**57, 2**62], ids=["past-float", "past-int64"]
+    )
+    def test_cycles_beyond_float_and_int64_range(self, scale):
+        # Up to 2**57 cycles per phase: window sums and their float
+        # conversions are past 2**53, but no int64 sum can wrap.  Up to
+        # 2**62: every lookahead window and the trace's total pass 2**63,
+        # so these sums must stay python ints.
+        table = build_synthetic_table(
+            BiasGeneratorModel(well_cap_ff_per_um2=4000.0)
+        )
+        rng = np.random.default_rng(scale % 97)
+        trace = [
+            WorkloadPhase(int(bits), int(cycles))
+            for bits, cycles in zip(
+                rng.choice(BITWIDTHS, size=40),
+                rng.integers(scale // 2, scale, size=40),
+            )
+        ]
+        for policy in POLICIES:
+            assert replay_scalar(
+                table, trace, policy=policy
+            ) == replay_trace(table, trace, policy=policy)
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_lookahead_window_sum_past_int64(self, window):
+        # The 2-mode phase sees a window of two 3 * 2**61-cycle phases.
+        # Their sum passes 2**63: wrapped, the mean would turn negative
+        # and the comparison would hold the peak; python's exact sum
+        # serves the cover mode.
+        big = 3 * 2**61
+        trace = [
+            WorkloadPhase(8, 1),
+            WorkloadPhase(2, 1),
+            WorkloadPhase(8, big),
+            WorkloadPhase(8, big),
+        ]
+        table = build_synthetic_table()
+        report = replay_trace(
+            table, trace, policy="lookahead", lookahead_window=window
+        )
+        assert report == replay_scalar(
+            table, trace, policy="lookahead", lookahead_window=window
+        )
+        assert report.mode_switches == 3
+
+    def test_array_and_phase_list_replay_identically(self):
+        table = build_synthetic_table()
+        trace = phase_trace(200, seed=5)
+        array = np.array(trace, dtype=np.int64)
+        assert array.shape == (200, 2)
+        for policy in POLICIES:
+            assert replay_trace(table, array, policy=policy) == replay_trace(
+                table, trace, policy=policy
+            )
+
+    @pytest.mark.parametrize("workload", [[], np.zeros((0, 2), np.int64)])
+    def test_empty_workload_rejected(self, workload):
+        with pytest.raises(ValueError, match="empty workload"):
+            replay_trace(build_synthetic_table(), workload)
+
+    def test_malformed_workload_rejected(self):
+        with pytest.raises(ValueError, match="pairs"):
+            replay_trace(build_synthetic_table(), [[2, 100, 5]])
 
 
 class TestLearnedReplayDifferential:
@@ -214,10 +323,70 @@ class TestFrameDifferential:
             assert scalar.submit_batch(requests) == batch.submit_batch(
                 requests
             ), f"frame {frame} diverged"
-        assert_schedulers_equal(scalar, batch)
+            assert_schedulers_equal(scalar, batch)
         # The mix must actually exercise the degraded path for depth 1.
         if depth == 1:
             assert scalar.telemetry.counters["degraded"] > 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("generators", [1, 2, 3])
+    def test_idle_tail_starts_mid_frame(
+        self, monkeypatch, policy, generators
+    ):
+        # Busy operators leave grants ending far ahead of a lagging one;
+        # the lagging operator's next frame queues behind them, then its
+        # clock passes the pool's last free time and the rest of the
+        # frame is the idle tail.
+        scalar, batch = twin_schedulers(
+            policy=policy, num_generators=generators, max_queue_depth=64
+        )
+        busy = [
+            ServeRequest(name, 8 if (k // 2) % 2 else 2, 40_000)
+            for k in range(12)
+            for name in ("b", "c")
+        ] + [ServeRequest("lone", 6, 0)]
+        lone = [
+            ServeRequest("lone", 2 if k % 2 else 8, 30_000)
+            for k in range(40)
+        ]
+        starts = []
+        real_tail = ModeScheduler._walk_idle_tail
+
+        def spy_tail(scheduler, plan, *args):
+            starts.append(plan.fold_ptr)
+            return real_tail(scheduler, plan, *args)
+
+        monkeypatch.setattr(ModeScheduler, "_walk_idle_tail", spy_tail)
+        served = []
+        for frame in (busy, lone, lone):
+            served.append(batch.submit_batch(frame))
+            assert scalar.submit_batch(frame) == served[-1]
+            assert_schedulers_equal(scalar, batch)
+        assert any(phase.queue_wait_ns > 0.0 for phase in served[1])
+        assert any(start > 0 for start in starts)
+
+    @pytest.mark.parametrize("generators", [1, 2, 3])
+    def test_zero_settle_slews(self, generators):
+        # Slews that cost energy but settle in 0 ns end as they start:
+        # the pool keeps no pending grant, and generators tie on their
+        # free times, so every pick goes to the lowest index.
+        def table_factory():
+            return build_synthetic_table(
+                BiasGeneratorModel(
+                    transition_time_ns=0.0, vdd_transition_time_ns=0.0
+                )
+            )
+
+        scalar, batch = twin_schedulers(
+            table_factory=table_factory, num_generators=generators
+        )
+        for frame in (
+            request_mix(60, ("a", "b"), seed=1),
+            request_mix(60, ("a",), seed=2),
+        ):
+            assert scalar.submit_batch(frame) == batch.submit_batch(frame)
+            assert_schedulers_equal(scalar, batch)
+        assert batch.pool.pending == []
 
     def test_state_carries_across_frames(self):
         scalar, batch = twin_schedulers(policy="hysteresis")
@@ -226,6 +395,7 @@ class TestFrameDifferential:
             assert scalar.submit_batch(requests) == batch.submit_batch(
                 requests
             )
+            assert_schedulers_equal(scalar, batch)
             # Interleave scalar submits between frames on both sides:
             # frame state must compose with per-request state.
             probe = ServeRequest("x", 4, 111)
@@ -297,7 +467,7 @@ class TestGuardDifferential:
             assert scalar.submit_batch(requests) == batch.submit_batch(
                 requests
             )
-        assert_schedulers_equal(scalar, batch)
+            assert_schedulers_equal(scalar, batch)
         assert scalar.telemetry.counters["margin_fallbacks"] > 0
 
     def test_all_modes_safe_guard_is_transparent(self):
@@ -339,7 +509,7 @@ class TestGuardDifferential:
             assert scalar.submit_batch(requests) == batch.submit_batch(
                 requests
             )
-        assert_schedulers_equal(scalar, batch)
+            assert_schedulers_equal(scalar, batch)
 
 
 class TestExceptionParity:
@@ -424,6 +594,22 @@ class TestReplayCli:
         ]
         report = replay_scalar(table, workload, policy=policy)
         return f"policy {policy}: {report.summary()}"
+
+    @pytest.mark.parametrize("seed", [7, 11, 2017])
+    @pytest.mark.parametrize(
+        "bitwidths",
+        [[8], [2, 4, 6, 8], list(range(1, 17))],
+        ids=["1-mode", "4-modes", "16-modes"],
+    )
+    def test_phase_draw_matches_per_phase_loop(self, seed, bitwidths):
+        from repro.cli import _random_phases
+
+        rng = np.random.default_rng(seed)
+        reference = [
+            [int(rng.choice(bitwidths)), int(rng.integers(5_000, 100_000))]
+            for _ in range(2_000)
+        ]
+        assert _random_phases(bitwidths, 2_000, seed).tolist() == reference
 
     def test_engines_print_identical_reports(self, capsys, table_path):
         line = self.replay_line(capsys, table_path)

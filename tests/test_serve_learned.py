@@ -26,7 +26,11 @@ from repro.serve.policy import (
 from repro.serve.table import LearnedPolicySpec
 from repro.traces import generate_suite, generate_trace
 from tests.conftest import build_learned_table, build_synthetic_table
-from tests.oracles.serve import ScalarFrameScheduler, replay_scalar
+from tests.oracles.serve import (
+    ScalarFrameScheduler,
+    pool_state,
+    replay_scalar,
+)
 
 #: Slew energies comparable to phase compute -- the regime the learned
 #: policy is trained for (and the benchmark uses).
@@ -240,7 +244,11 @@ class TestBatchDifferential:
         # force saturation at the Nth depth probe instead, identically
         # for the oracle and the kernel (both probe at the same non-free
         # switch decisions), and check the learned plan re-derives its
-        # suffix from the forced static mode bit-identically.
+        # suffix from the forced static mode bit-identically.  The
+        # kernel probes depth only on its per-event walk: it takes the
+        # idle-pool tail, which cannot degrade, once the pool reads idle.
+        # So the pool reads busy until the forced saturation, and the
+        # replanned suffix then finishes on the tail.
         from repro.serve.scheduler import GeneratorPool
 
         phases = suite_phases(seed=9)["phase_structured"]
@@ -248,6 +256,15 @@ class TestBatchDifferential:
             ServeRequest("op", p.required_bits, p.cycles) for p in phases
         ]
         real_queue_depth = GeneratorPool.queue_depth
+        real_idle_at = GeneratorPool.idle_at
+        real_tail = ModeScheduler._walk_idle_tail
+        tails = []
+
+        def spy_tail(scheduler, plan, *args):
+            tails.append(plan.fold_ptr)
+            return real_tail(scheduler, plan, *args)
+
+        monkeypatch.setattr(ModeScheduler, "_walk_idle_tail", spy_tail)
         pair = []
         for kind in (ScalarFrameScheduler, ModeScheduler):
             calls = {"n": 0}
@@ -258,14 +275,23 @@ class TestBatchDifferential:
                     return 999
                 return real_queue_depth(pool, now_ns)
 
+            def fake_idle_at(pool, now_ns, _calls=calls):
+                return _calls["n"] >= saturate_at and real_idle_at(
+                    pool, now_ns
+                )
+
             monkeypatch.setattr(GeneratorPool, "queue_depth", fake_depth)
+            monkeypatch.setattr(GeneratorPool, "idle_at", fake_idle_at)
             scheduler = kind(LEARNED, policy="learned", num_generators=1)
             pair.append((scheduler, scheduler.submit_batch(requests)))
         monkeypatch.setattr(GeneratorPool, "queue_depth", real_queue_depth)
+        monkeypatch.setattr(GeneratorPool, "idle_at", real_idle_at)
         (scalar, scalar_phases), (batch, batch_phases) = pair
         assert scalar_phases == batch_phases
         assert scalar.telemetry.snapshot() == batch.telemetry.snapshot()
+        assert pool_state(scalar) == pool_state(batch)
         assert scalar.telemetry.counters["degraded"] > 0
+        assert len(tails) == 1 and tails[0] > 0
 
     def test_multi_operator_frame_falls_back_identically(self):
         # >1 operator per frame: the batch kernel must refuse the

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.traces import (
@@ -115,7 +116,9 @@ class TestArtifact:
         trace = generate_trace("bursty", seed=1, length=10)
         path = tmp_path / "trace.json"
         trace.save(path)
-        assert load_trace_file(path) == trace.to_phases()
+        phases = load_trace_file(path)
+        assert phases.dtype == np.int64 and phases.shape == (10, 2)
+        assert [tuple(row) for row in phases.tolist()] == trace.to_phases()
 
     def test_load_trace_file_rejects_garbage(self, tmp_path):
         bad_json = tmp_path / "bad.json"
@@ -134,6 +137,41 @@ class TestArtifact:
         scalar.write_text("3")
         with pytest.raises(TraceError, match="must be a JSON object"):
             load_trace_file(scalar)
+
+    @pytest.mark.parametrize(
+        "phases, message",
+        [
+            ([[4, 100], [0, 5]], "phase bits must be positive, got 0"),
+            ([[4, 100], [4, -3]], "phase cycles must be positive, got -3"),
+            ([[4, 0], [0, 5]], "phase cycles must be positive, got 0"),
+            ([[4, 100], [3]], r"phase 1 is \[3\], not a \[bits, cycles\]"),
+            ([[1, 2, 3]], r"phase 0 is \[1, 2, 3\], not a \[bits"),
+            ([1, 2], "phase 0 is 1, not a"),
+            ([[[1, 2]]], r"phase 0 is \[\[1, 2\]\], not a"),
+            ([[4, 100], [2**70, 5]], r"phase 1 is \[1180591620717411303424"),
+            ([[4, None]], r"phase 0 is \[4, None\]"),
+            ("abc", "phases must be a list"),
+            (5, "phases must be a list of .* got 5"),
+            ([], "has no phases"),
+        ],
+    )
+    def test_load_trace_file_names_first_bad_phase(
+        self, tmp_path, phases, message
+    ):
+        payload = generate_trace("bursty", seed=1, length=4).to_dict()
+        payload["phases"] = phases
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TraceError, match=message):
+            load_trace_file(path)
+
+    def test_from_dict_shares_the_loader_checks(self):
+        payload = generate_trace("bursty", seed=1, length=4).to_dict()
+        payload["phases"] = [[4, 100], [1, 2, 3]]
+        with pytest.raises(TraceError, match="phase 1 is"):
+            WorkloadTrace.from_dict(payload)
+        payload["phases"] = [["4", 100.0]]
+        assert WorkloadTrace.from_dict(payload).phases == ((4, 100),)
 
     def test_future_schema_rejected(self):
         payload = generate_trace("bursty", seed=1, length=4).to_dict()
