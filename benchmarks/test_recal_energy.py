@@ -22,7 +22,7 @@ BENCH_recal.json and merges it into BENCH_summary).
 import json
 import os
 
-from repro.faults import recovery_schedule, run_recal_chaos
+from repro.faults.chaos import recovery_schedule, run_chaos
 from repro.faults.environment import TEMP_SLOWDOWN_PER_C
 from repro.serve.table import compile_mode_table
 
@@ -58,30 +58,31 @@ def test_recal_energy_reclaim(bundles):
         relapse=True,
         seed=1,
     )
-    report = run_recal_chaos(
+    report = run_chaos(
         table,
         schedule,
         num_operators=NUM_OPERATORS,
         requests=REQUESTS,
         seed=SEED,
+        recalibrate=True,
     )
 
-    recal = report.recalibrating
+    race = report.counts["recal"]
+    baseline, recal = race["retreat_only"], race["recalibrating"]
+    reclaimed = race["energy_reclaimed_fraction"]
     record = {
         "requests": REQUESTS,
         "horizon_ns": HORIZON_NS,
-        "retreat_only_energy_j": report.retreat_only.energy_j,
-        "recalibrating_energy_j": recal.energy_j,
-        "probe_energy_j": recal.probe_energy_j,
-        "energy_reclaimed_j": report.energy_reclaimed_j,
-        "energy_reclaimed_fraction": round(
-            report.energy_reclaimed_fraction, 4
-        ),
-        "recal_epochs": recal.recal_epochs,
-        "recal_demotions": recal.recal_demotions,
-        "recal_readvances": recal.recal_readvances,
-        "margin_fallbacks_baseline": report.retreat_only.margin_fallbacks,
-        "margin_fallbacks_recal": recal.margin_fallbacks,
+        "retreat_only_energy_j": baseline["energy_j"],
+        "recalibrating_energy_j": recal["energy_j"],
+        "probe_energy_j": recal["probe_energy_j"],
+        "energy_reclaimed_j": race["energy_reclaimed_j"],
+        "energy_reclaimed_fraction": round(reclaimed, 4),
+        "recal_epochs": recal["recal_epochs"],
+        "recal_demotions": recal["recal_demotions"],
+        "recal_readvances": recal["recal_readvances"],
+        "margin_fallbacks_baseline": baseline["margin_fallbacks"],
+        "margin_fallbacks_recal": recal["margin_fallbacks"],
     }
     print(f"\nrecal_bench {json.dumps(record, sort_keys=True)}")
 
@@ -92,13 +93,13 @@ def test_recal_energy_reclaim(bundles):
 
     # Both runs must hold the accuracy invariant outright...
     assert report.ok, report.describe()
-    assert report.retreat_only.margin_violations == 0
-    assert recal.margin_violations == 0
+    assert baseline["margin_violations"] == 0
+    assert recal["margin_violations"] == 0
     # ...the loop must have actually cycled (demote AND re-advance)...
-    assert recal.recal_demotions > 0
-    assert recal.recal_readvances > 0
+    assert recal["recal_demotions"] > 0
+    assert recal["recal_readvances"] > 0
     # ...and recalibration must pay for its probes at least 10x over.
-    assert report.energy_reclaimed_fraction >= RECLAIM_FLOOR, (
-        f"reclaimed only {100 * report.energy_reclaimed_fraction:.1f}% "
+    assert reclaimed >= RECLAIM_FLOOR, (
+        f"reclaimed only {100 * reclaimed:.1f}% "
         f"of the retreat-only baseline (floor {100 * RECLAIM_FLOOR:.0f}%)"
     )

@@ -54,7 +54,6 @@ from repro.core.flow import (
     select_clock_for,
 )
 from repro.core.report import format_pareto_table, format_savings
-from repro.faults.chaos import chaos_requests
 from repro.operators import (
     adequate_adder,
     booth_multiplier,
@@ -95,26 +94,34 @@ def _design_factory(name: str, width: int, library: Library) -> Callable:
         )
 
 
-def _positive_int(text: str) -> int:
-    """argparse ``type=`` for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _number(kind, low, strict: bool = False) -> Callable:
+    """argparse ``type=`` for a *kind* (int or float) of at least *low*,
+    or above it when *strict*."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            )
+        if not (value > low if strict else value >= low):
+            bound = "greater than" if strict else "at least"
+            raise argparse.ArgumentTypeError(
+                f"must be {bound} {low}, got {value}"
+            )
+        return value
+
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse ``type=`` for counts that may be 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+_positive_int = _number(int, 1)
+_non_negative_int = _number(int, 0)
+
+
+def _levels(text: str) -> tuple:
+    """argparse ``type=`` for a comma-separated list of bitwidths."""
+    return tuple(_positive_int(token) for token in text.split(","))
 
 
 def _parse_grid(text: str) -> GridPartition:
@@ -366,7 +373,7 @@ def cmd_serve(args) -> int:
     import asyncio
     import json as json_module
 
-    from repro.serve.scheduler import ModeScheduler
+    from repro.serve.scheduler import ModeScheduler, chaos_requests
     from repro.serve.server import AccuracyServer
 
     table = _load_table(args.table)
@@ -504,6 +511,7 @@ def cmd_fleet_serve(args) -> int:
     import json as json_module
 
     from repro.fleet import FleetRouter
+    from repro.serve.scheduler import chaos_requests
 
     table = _load_table(args.table)
     print(table.describe())
@@ -606,14 +614,13 @@ def cmd_gen_traces(args) -> int:
 
     from repro.traces import generate_suite, generate_trace
 
-    levels = tuple(int(token) for token in args.levels.split(","))
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.family == "all":
         suite = generate_suite(
             seed=args.seed,
             length=args.length,
-            bits_levels=levels,
+            bits_levels=args.levels,
             mean_cycles=args.mean_cycles,
         )
     else:
@@ -622,7 +629,7 @@ def cmd_gen_traces(args) -> int:
                 args.family,
                 seed=args.seed,
                 length=args.length,
-                bits_levels=levels,
+                bits_levels=args.levels,
                 mean_cycles=args.mean_cycles,
             )
         }
@@ -666,13 +673,20 @@ def cmd_train_policy(args) -> int:
 def cmd_chaos(args) -> int:
     import dataclasses
     import json as json_module
-    import tempfile
 
     from repro.core.runtime import BiasGeneratorModel
-    from repro.faults import FaultSchedule, recovery_schedule, run_chaos
+    from repro.faults.chaos import recovery_schedule, run_chaos
     from repro.faults.environment import TEMP_SLOWDOWN_PER_C
+    from repro.faults.events import FaultSchedule
     from repro.serve.table import compile_mode_table
 
+    if args.fleet == 1:
+        print(
+            "error: --fleet needs at least 2 workers (0 skips the fleet "
+            "soak), got 1",
+            file=sys.stderr,
+        )
+        return 2
     design = _implement_for(args)
     print(design.describe())
     settings = dataclasses.replace(
@@ -724,21 +738,19 @@ def cmd_chaos(args) -> int:
             num_shards=len(settings.bitwidths),
             intensity=args.intensity,
         )
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
-        report = run_chaos(
-            table,
-            schedule,
-            design=None if args.serve_only else design,
-            settings=None if args.serve_only else settings,
-            workdir=None if args.serve_only else workdir,
-            num_operators=args.operators,
-            requests=args.requests,
-            seed=args.seed,
-            fleet_workers=args.fleet,
-            fleet_requests=args.fleet_requests,
-            recalibrate=args.recalibrate,
-            recal_interval_ns=args.recal_interval,
-        )
+    report = run_chaos(
+        table,
+        schedule,
+        design=None if args.serve_only else design,
+        settings=settings,
+        num_operators=args.operators,
+        requests=args.requests,
+        seed=args.seed,
+        fleet_workers=args.fleet,
+        fleet_requests=args.fleet_requests,
+        recalibrate=args.recalibrate,
+        recal_interval_ns=args.recal_interval,
+    )
     print(report.describe())
     if args.summary:
         with open(args.summary, "w") as stream:
@@ -773,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_design_args(p):
         p.add_argument("--design", default="booth")
-        p.add_argument("--width", type=int, default=16)
+        p.add_argument("--width", type=_positive_int, default=16)
 
     def add_sweep_args(p):
         from repro.core.config import AUTO_WORKERS
@@ -885,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--margin-samples",
-        type=int,
+        type=_number(int, 2),
         default=48,
         help="Monte-Carlo sample count per mode for --margins",
     )
@@ -899,17 +911,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True, help="compiled ModeTable JSON")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0, help="0 = ephemeral")
-    p.add_argument("--generators", type=int, default=2)
-    p.add_argument("--queue-depth", type=int, default=8)
-    p.add_argument("--max-pending", type=int, default=64)
+    p.add_argument("--generators", type=_positive_int, default=2)
+    p.add_argument("--queue-depth", type=_positive_int, default=8)
+    p.add_argument("--max-pending", type=_positive_int, default=64)
     p.add_argument(
         "--soak",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="drive N requests through the socket, print telemetry, exit",
     )
-    p.add_argument("--clients", type=int, default=4, help="soak connections")
+    p.add_argument(
+        "--clients", type=_positive_int, default=4, help="soak connections"
+    )
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument(
         "--recal-interval",
@@ -940,17 +954,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet worker processes (bare --workers auto-detects; "
         "$REPRO_FLEET_WORKERS overrides auto; default 2)",
     )
-    p.add_argument("--generators", type=int, default=2)
-    p.add_argument("--queue-depth", type=int, default=8)
+    p.add_argument("--generators", type=_positive_int, default=2)
+    p.add_argument("--queue-depth", type=_positive_int, default=8)
     p.add_argument(
         "--batch-window",
-        type=int,
+        type=_positive_int,
         default=16,
         help="max same-worker requests coalesced into one pipe frame",
     )
     p.add_argument(
         "--max-inflight",
-        type=int,
+        type=_positive_int,
         default=2,
         help="pipelined frames per worker",
     )
@@ -961,22 +975,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--retreat-budget",
-        type=int,
+        type=_positive_int,
         default=32,
         help="degraded requests a worker serves after a fleet alert",
     )
     p.add_argument(
         "--soak",
-        type=int,
+        type=_positive_int,
         default=1000,
         metavar="N",
         help="drive N requests through the fleet, print telemetry, exit",
     )
     p.add_argument(
-        "--operators", type=int, default=8, help="soak operator instances"
+        "--operators",
+        type=_positive_int,
+        default=8,
+        help="soak operator instances",
     )
     p.add_argument(
-        "--chunk", type=int, default=256, help="requests per submit batch"
+        "--chunk",
+        type=_positive_int,
+        default=256,
+        help="requests per submit batch",
     )
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument("--stats-output", help="write fleet telemetry JSON here")
@@ -1020,17 +1040,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument(
-        "--length", type=int, default=200, help="phases per trace"
+        "--length", type=_positive_int, default=200, help="phases per trace"
     )
     p.add_argument(
         "--levels",
+        type=_levels,
         default="2,4,6,8",
         help="comma-separated precision levels requests draw from "
         "(pass the served table's bitwidths)",
     )
     p.add_argument(
         "--mean-cycles",
-        type=int,
+        type=_positive_int,
         default=2000,
         help="mean per-phase cycle count (jittered +/-30%%)",
     )
@@ -1046,14 +1067,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument(
-        "--length", type=int, default=400, help="phases per training trace"
+        "--length",
+        type=_positive_int,
+        default=400,
+        help="phases per training trace",
     )
     p.add_argument(
-        "--mean-cycles", type=int, default=2000, help="mean phase length"
+        "--mean-cycles",
+        type=_positive_int,
+        default=2000,
+        help="mean phase length",
     )
     p.add_argument(
         "--suites",
-        type=int,
+        type=_positive_int,
         default=3,
         help="trace suites (one trace per family each) in the corpus",
     )
@@ -1061,7 +1088,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument(
         "--rounds",
-        type=int,
+        type=_positive_int,
         default=4,
         help="collect/fit alternations (round 0 explores uniformly)",
     )
@@ -1076,13 +1103,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7, help="chaos seed")
     p.add_argument(
         "--intensity",
-        type=float,
+        type=_number(float, 0.0),
         default=1.0,
         help="fault-count multiplier of the generated schedule",
     )
     p.add_argument(
         "--horizon-ns",
-        type=float,
+        type=_number(float, 0.0, strict=True),
         default=1e5,
         help="virtual-time horizon of the fault schedule (keep it close "
         "to the soak's served virtual time so events overlap it)",
@@ -1091,13 +1118,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", type=_positive_int, default=96)
     p.add_argument(
         "--margin-samples",
-        type=int,
+        type=_number(int, 2),
         default=32,
         help="Monte-Carlo samples per mode for the compiled margins",
     )
     p.add_argument(
         "--activity-cycles",
-        type=int,
+        # measure_activity drops 4 warm-up cycles and needs 2 more.
+        type=_number(int, 6),
         default=10,
         help="simulation cycles per activity estimate (small = fast soak)",
     )
@@ -1108,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fleet",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="additionally soak an N-worker fleet (>= 2) against the "
@@ -1117,7 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fleet-requests",
-        type=int,
+        type=_positive_int,
         default=1024,
         help="request count of the fleet soak",
     )
@@ -1130,7 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--recal-interval",
-        type=float,
+        type=_number(float, 0.0, strict=True),
         default=None,
         metavar="NS",
         help="probe cadence in virtual ns (default: horizon / 32)",

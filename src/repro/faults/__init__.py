@@ -13,26 +13,15 @@ purpose, reproducibly, and to check that it bends instead:
 * :mod:`repro.faults.injector` -- does the infra faults to real
   machinery (one-shot worker crash/hang plans, cache corruption);
 * :mod:`repro.faults.chaos` -- the harness replaying one seeded
-  schedule against a multi-operator serve session and a sharded
-  exploration run, with post-hoc invariant audits.
+  schedule against a multi-operator serve session, a sharded
+  exploration run and a fleet, with post-hoc invariant audits.  It is
+  not re-exported here, so the serving path, which imports the
+  environment, never loads it.
 
 See ``docs/robustness.md`` for the fault taxonomy and the invariants
 each chaos soak enforces.
 """
 
-from repro.faults.chaos import (
-    ChaosReport,
-    ExplorationChaosReport,
-    FleetChaosReport,
-    RecalChaosReport,
-    ServeChaosReport,
-    recovery_schedule,
-    run_chaos,
-    run_exploration_chaos,
-    run_fleet_chaos,
-    run_recal_chaos,
-    run_serve_chaos,
-)
 from repro.faults.environment import (
     AGING_ALPHA,
     DROOP_ALPHA,
@@ -55,24 +44,16 @@ from repro.faults.events import (
     FaultEvent,
     FaultSchedule,
 )
-from repro.faults.injector import (
-    InjectionLog,
-    WorkerFaultPlan,
-    corrupt_cache_entries,
-)
+from repro.faults.injector import WorkerFaultPlan, corrupt_cache_entries
 
 __all__ = [
     "AGING_ALPHA",
     "ALL_KINDS",
-    "ChaosReport",
     "DROOP_ALPHA",
-    "ExplorationChaosReport",
     "FAULT_SCHEDULE_SCHEMA",
     "FaultEvent",
     "FaultSchedule",
-    "FleetChaosReport",
     "INFRA_KINDS",
-    "InjectionLog",
     "KIND_AGING_VTH",
     "KIND_CACHE_CORRUPT",
     "KIND_GEN_DROPOUT",
@@ -81,17 +62,9 @@ __all__ = [
     "KIND_TRANSITION_TIMEOUT",
     "KIND_VDD_DROOP",
     "KIND_WORKER_CRASH",
-    "RecalChaosReport",
     "SILICON_KINDS",
-    "ServeChaosReport",
     "SiliconEnvironment",
     "TEMP_SLOWDOWN_PER_C",
     "WorkerFaultPlan",
     "corrupt_cache_entries",
-    "recovery_schedule",
-    "run_chaos",
-    "run_exploration_chaos",
-    "run_fleet_chaos",
-    "run_recal_chaos",
-    "run_serve_chaos",
 ]

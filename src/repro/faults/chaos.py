@@ -1,32 +1,41 @@
-"""The chaos harness: replay a seeded fault schedule against the stack.
+"""The chaos harness: replay one seeded fault schedule against the stack.
 
-Two soaks, one report:
+:func:`run_chaos` soaks each target it is asked for under the same
+:class:`~repro.faults.events.FaultSchedule`, then audits it:
 
-* :func:`run_serve_chaos` drives a deterministic request mix from
-  several concurrent operator instances through a margin-guarded
+* **serve** (always) drives a deterministic request mix from several
+  concurrent operator instances through a margin-guarded
   :class:`~repro.serve.scheduler.ModeScheduler` while the schedule's
   silicon events erode margins, drop bias generators and block
-  transitions.  Afterwards it *audits* every served phase against the
+  transitions.  Afterwards it audits every served phase against the
   same (pure, replayable) environment: served bits must cover the
   request, and any mode the guard passed through un-overridden must
   actually have been safe at its decision instant.
-* :func:`run_exploration_chaos` runs a sharded sweep with worker
+* **recal** (``recalibrate``) serves the mix a second time behind a
+  retreat-only guard and races it against the serve soak, which then
+  runs with the canary-probe recalibration loop attached.
+* **exploration** (a ``design``) runs a sharded sweep with worker
   crashes armed (and the shard cache corrupted between runs) and holds
   the recovered results bit-identical to a clean serial reference.
+* **fleet** (``fleet_workers``) injects the schedule on worker 0 of a
+  multi-process fleet and audits how its peers react.
 
-Both halves consume the same :class:`~repro.faults.events.FaultSchedule`,
-so one seed reproduces one full chaos run -- the CLI (``repro chaos``)
-archives the schedule next to the report for exactly that reason.
+Each target returns the counts it archives and its invariants by name;
+one :class:`ChaosReport` holds them, and the run is ``ok`` when every
+invariant held.  One seed reproduces one full chaos run -- the CLI
+(``repro chaos``) archives the schedule next to the report for exactly
+that reason.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+import tempfile
+import types
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.faults.environment import SiliconEnvironment
 from repro.faults.events import (
@@ -36,108 +45,215 @@ from repro.faults.events import (
     FaultEvent,
     FaultSchedule,
 )
-from repro.faults.injector import (
-    InjectionLog,
-    WorkerFaultPlan,
-    corrupt_cache_entries,
-)
+from repro.faults.injector import WorkerFaultPlan, corrupt_cache_entries
+
+#: Operator instances of the fleet soak's request mix.
+FLEET_OPERATORS = 8
+
+#: Requests per ``FleetRouter.submit_many`` call in the fleet soak; a
+#: scheduled worker kill lands between two such submissions.
+FLEET_SOAK_CHUNK = 256
+
+#: Worker processes of the exploration soak's chaotic sweep.
+EXPLORATION_WORKERS = 2
+
+#: ``describe()`` wording per target, in report order: a line over the
+#: target's counts, and a tail appended when any count named after it
+#: is non-zero.
+_LINES = {
+    "serve": (
+        "serve chaos [{verdict}]: {requests} requests, "
+        "{margin_fallbacks} margin fallbacks, {degraded} degraded, "
+        "{transition_retries} transition retries "
+        "({transition_failures} exhausted), {generator_dropouts} generator "
+        "dropouts ({rebalanced_grants} slews rebalanced), "
+        "{accuracy_violations} accuracy violations, "
+        "{margin_violations} margin violations",
+        ", {recal_epochs} recal epochs ({recal_demotions} demotions / "
+        "{recal_readvances} re-advances, {recal_failures} probe failures)",
+        ("recal_epochs", "recal_failures"),
+    ),
+    "exploration": (
+        "exploration chaos [{verdict}]: {shards} shards, {worker_crashes} "
+        "crashes / {pool_respawns} pool respawns / {shard_retries} retries, "
+        "{cache_entries_corrupted} cache entries corrupted "
+        "({cache_invalidations} invalidated on reload), "
+        "bit-identical: {bit_identical}",
+        "",
+        (),
+    ),
+    "fleet": (
+        "fleet chaos [{verdict}]: {requests} requests over {workers} workers "
+        "({workers_killed} killed, {failovers} failovers), "
+        "{margin_fallbacks} margin fallbacks -> {fleet_alerts} alerts / "
+        "{fleet_retreats} retreats, propagation {worst_propagation} <= "
+        "{propagation_bound} requests, {accuracy_violations} accuracy "
+        "violations, segment leaked: {segment_leaked}",
+        ", recal epoch {bus_recal_epoch} ({fleet_margin_syncs} peer syncs, "
+        "worst lag {worst_recal_lag} <= {propagation_bound}, "
+        "converged: {recal_converged})",
+        ("recal_enabled",),
+    ),
+    "recal": (
+        "recal chaos [{verdict}]: retreat-only {retreat_only[energy_j]:.3e} J "
+        "vs recalibrating {recalibrating[energy_j]:.3e} J (probes "
+        "{recalibrating[probe_energy_j]:.3e} J) -> "
+        "{energy_reclaimed_fraction:.1%} reclaimed, "
+        "{recalibrating[recal_readvances]} re-advances, "
+        "0 violations required on both runs",
+        "",
+        (),
+    ),
+}
+
+
+def _archive(counts: Dict, invariants: Dict[str, bool]) -> Dict:
+    """One target's summary: its counts and whether its invariants held."""
+    return {**counts, "ok": all(invariants.values())}
+
+
+@dataclass
+class ChaosReport:
+    """One seeded chaos run, end to end.
+
+    ``counts[target]`` holds what each target that ran archives, in
+    order, and ``invariants[target]`` the named checks that decide
+    ``ok``.  A target that did not run is absent (``None`` in the
+    summary).
+    """
+
+    schedule: FaultSchedule
+    counts: Dict[str, Dict]
+    invariants: Dict[str, Dict[str, bool]]
+
+    @property
+    def ok(self) -> bool:
+        return all(all(held.values()) for held in self.invariants.values())
+
+    def to_dict(self) -> Dict:
+        summary = {"ok": self.ok, "schedule": self.schedule.to_dict()}
+        for target in _LINES:
+            summary[target] = (
+                _archive(self.counts[target], self.invariants[target])
+                if target in self.counts
+                else None
+            )
+        return summary
+
+    def describe(self) -> str:
+        summary = self.to_dict()
+        lines = [self.schedule.describe()]
+        for target, (line, tail, tail_when) in _LINES.items():
+            counts = summary[target]
+            if counts is None:
+                continue
+            if any(counts[name] for name in tail_when):
+                line += tail
+            verdict = "PASS" if counts["ok"] else "FAIL"
+            lines.append(line.format(verdict=verdict, **counts))
+        lines.append(f"chaos run: {'PASS' if summary['ok'] else 'FAIL'}")
+        return "\n".join(lines)
+
+
+@contextlib.contextmanager
+def _stays_up():
+    """The soaks' "stays up" criterion: an exception inside the block
+    ends the soak and is archived as ``soak.error`` instead of raised."""
+    soak = types.SimpleNamespace(error=None)
+    try:
+        yield soak
+    except Exception as error:
+        soak.error = f"{type(error).__name__}: {error}"
+
+
+def run_chaos(
+    table,
+    schedule: FaultSchedule,
+    design=None,
+    settings=None,
+    num_operators: int = 3,
+    requests: int = 96,
+    seed: int = 7,
+    fleet_workers: int = 0,
+    fleet_requests: int = 1024,
+    recalibrate: bool = False,
+    recal_interval_ns: Optional[float] = None,
+) -> ChaosReport:
+    """Replay *schedule* against serving and the targets asked for.
+
+    A *design* (with its exploration *settings*) adds the exploration
+    soak, ``fleet_workers >= 2`` the fleet soak with the same schedule
+    and seed.  ``recalibrate=True`` serves with the canary-probe loop
+    attached (probing every *recal_interval_ns*, default a 32nd of the
+    horizon), races it against the retreat-only baseline for the
+    reclaimed-energy report, and with a fleet audits margin-epoch
+    propagation.
+    """
+    if num_operators < 1:
+        raise ValueError("need at least one operator")
+    if requests < 1:
+        raise ValueError("need at least one request")
+    if design is not None and settings is None:
+        raise ValueError("exploration chaos needs settings")
+    if fleet_workers:
+        if fleet_workers < 2:
+            raise ValueError("a fleet soak needs at least two workers")
+        if not table.has_margins:
+            raise ValueError(
+                "fleet chaos needs a margined table (the degradation signal "
+                "is the margin guard's fallback); compile with --margins"
+            )
+    interval = None
+    if recalibrate:
+        interval = (
+            recal_interval_ns
+            if recal_interval_ns is not None
+            else max(schedule.horizon_ns, 1.0) / 32.0
+        )
+    mix = (table, schedule, num_operators, requests, seed)
+    sections = {"serve": _serve_soak(*mix, recal_interval_ns=interval)}
+    if recalibrate:
+        sections["recal"] = _recal_race(
+            _serve_soak(*mix, retreat_only=True), sections["serve"]
+        )
+    if design is not None:
+        sections["exploration"] = _exploration_soak(design, settings, schedule)
+    if fleet_workers:
+        sections["fleet"] = _fleet_soak(
+            table,
+            schedule,
+            fleet_workers,
+            fleet_requests,
+            seed,
+            interval or 0.0,
+        )
+    return ChaosReport(
+        schedule,
+        counts={target: counts for target, (counts, _) in sections.items()},
+        invariants={target: held for target, (_, held) in sections.items()},
+    )
 
 
 # -- serve-side soak ---------------------------------------------------------
 
 
-@dataclass
-class ServeChaosReport:
-    """What the serving stack did under silicon chaos."""
-
-    requests: int = 0
-    accuracy_violations: int = 0
-    #: Phases the audit found running an unsafe mode without the guard
-    #: having flagged a fallback (must stay 0 for the soak to pass).
-    margin_violations: int = 0
-    margin_fallbacks: int = 0
-    degraded: int = 0
-    transition_retries: int = 0
-    transition_failures: int = 0
-    generator_dropouts: int = 0
-    rebalanced_grants: int = 0
-    #: Total energy the soak served (compute + transitions), plus the
-    #: canary probes' own cost when recalibration was on (J).
-    energy_j: float = 0.0
-    probe_energy_j: float = 0.0
-    #: Recalibration-loop activity (all zero without --recalibrate).
-    recal_probes: int = 0
-    recal_epochs: int = 0
-    recal_demotions: int = 0
-    recal_readvances: int = 0
-    recal_failures: int = 0
-    stayed_up: bool = False
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.stayed_up
-            and self.accuracy_violations == 0
-            and self.margin_violations == 0
-        )
-
-    def to_dict(self) -> Dict:
-        return {**dataclasses.asdict(self), "ok": self.ok}
-
-    def describe(self) -> str:
-        verdict = "PASS" if self.ok else "FAIL"
-        return (
-            f"serve chaos [{verdict}]: {self.requests} requests, "
-            f"{self.margin_fallbacks} margin fallbacks, "
-            f"{self.degraded} degraded, "
-            f"{self.transition_retries} transition retries "
-            f"({self.transition_failures} exhausted), "
-            f"{self.generator_dropouts} generator dropouts "
-            f"({self.rebalanced_grants} slews rebalanced), "
-            f"{self.accuracy_violations} accuracy violations, "
-            f"{self.margin_violations} margin violations"
-            + (
-                f", {self.recal_epochs} recal epochs "
-                f"({self.recal_demotions} demotions / "
-                f"{self.recal_readvances} re-advances, "
-                f"{self.recal_failures} probe failures)"
-                if self.recal_epochs or self.recal_failures
-                else ""
-            )
-        )
-
-
-def chaos_requests(table, num_operators: int, count: int, seed: int):
-    """Deterministic request mix over *num_operators* instances."""
-    rng = np.random.default_rng(seed)
-    bitwidths = table.bitwidths
-    for index in range(count):
-        yield (
-            f"op{index % num_operators}",
-            int(rng.choice(bitwidths)),
-            int(rng.integers(1_000, 20_000)),
-        )
-
-
-def run_serve_chaos(
+def _serve_soak(
     table,
     schedule: FaultSchedule,
-    num_operators: int = 3,
-    requests: int = 96,
-    seed: int = 7,
-    recalibrate: bool = False,
+    num_operators: int,
+    requests: int,
+    seed: int,
     recal_interval_ns: Optional[float] = None,
     retreat_only: bool = False,
-) -> ServeChaosReport:
+):
     """Soak a margin-guarded scheduler against *schedule*, then audit it.
 
     The scheduler, guard and recalibration loop keep their default
-    policy, 2-generator pool, headroom and learner settings.
-    ``recalibrate=True`` attaches a canary-probe recalibration loop
+    policy, 2-generator pool, headroom and learner settings.  A
+    *recal_interval_ns* attaches a canary-probe recalibration loop
     (:mod:`repro.serve.recal`) so the guard re-advances as margins
     recover; ``retreat_only=True`` runs the pessimistic baseline whose
-    guard latches every mode it ever saw unsafe.  Both variants are
+    guard latches every mode it ever saw unsafe.  Every variant is
     audited by a **fresh oracle guard** over the same pure environment
     -- not the serving guard, whose learner/latch state at audit time
     differs from what it was at each decision instant.  Because a
@@ -147,80 +263,83 @@ def run_serve_chaos(
     """
     from repro.serve.guard import MarginGuard
     from repro.serve.recal import RecalibrationLoop
-    from repro.serve.scheduler import ModeScheduler, ServeRequest
+    from repro.serve.scheduler import (
+        ModeScheduler,
+        ServeRequest,
+        chaos_requests,
+    )
 
-    if num_operators < 1:
-        raise ValueError("need at least one operator")
-    if requests < 1:
-        raise ValueError("need at least one request")
-    if recalibrate and retreat_only:
-        raise ValueError(
-            "recalibrate and retreat_only are mutually exclusive"
-        )
-    environment = SiliconEnvironment(schedule)
-    guard = MarginGuard(table, environment, retreat_only=retreat_only)
+    guard = MarginGuard(
+        table, SiliconEnvironment(schedule), retreat_only=retreat_only
+    )
     recal = None
-    if recalibrate:
-        if recal_interval_ns is None:
-            recal_interval_ns = max(schedule.horizon_ns, 1.0) / 32.0
+    if recal_interval_ns is not None:
         recal = RecalibrationLoop(guard, recal_interval_ns, seed=seed)
     scheduler = ModeScheduler(table, guard=guard, recal=recal)
-    report = ServeChaosReport()
-    served_log = []
-    energy_j = 0.0
-    try:
-        for operator, bits, cycles in chaos_requests(
-            table, num_operators, requests, seed
-        ):
-            served = scheduler.submit(ServeRequest(operator, bits, cycles))
-            served_log.append(served)
-            energy_j += served.compute_energy_j + served.transition_energy_j
-            report.requests += 1
-    except Exception as error:  # the soak's "stays up" criterion
-        report.error = f"{type(error).__name__}: {error}"
-        report.stayed_up = False
-    else:
-        report.stayed_up = True
+    served = []
+    with _stays_up() as soak:
+        for request in chaos_requests(table, num_operators, requests, seed):
+            served.append(scheduler.submit(ServeRequest(*request)))
 
     # Audit against the same (pure, replayable) environment with a
     # *fresh* stateless guard: the oracle for "was this mode actually
     # safe at that instant", independent of any learner or latch state
-    # the serving guard has accumulated since.
+    # the serving guard has accumulated since.  Fallback modes are
+    # best-effort by definition (the static rail is sign-off margined; a
+    # guard substitution is safe whenever any covering mode was), so the
+    # margin audit covers un-overridden policy picks only.
     oracle = MarginGuard(table, SiliconEnvironment(schedule))
-    for served in served_log:
-        if served.served_bits < served.required_bits:
-            report.accuracy_violations += 1
-        if served.degraded or served.margin_fallback:
-            # Fallback modes are best-effort by definition (the static
-            # rail is sign-off margined; a guard substitution is safe
-            # whenever any covering mode was); the invariant audited
-            # here is about un-overridden policy picks.
-            continue
-        if not oracle.mode_is_safe(served.served_bits, served.decided_at_ns):
-            report.margin_violations += 1
-
     counters = scheduler.telemetry.counters
-    report.margin_fallbacks = counters["margin_fallbacks"]
-    report.degraded = counters["degraded"]
-    report.transition_retries = counters["transition_retries"]
-    report.transition_failures = counters["transition_failures"]
-    report.accuracy_violations += counters["accuracy_violations"]
-    report.generator_dropouts = scheduler.pool.dropouts
-    report.rebalanced_grants = scheduler.pool.rebalanced_grants
+    counts = {
+        "requests": len(served),
+        "accuracy_violations": counters["accuracy_violations"]
+        + sum(phase.served_bits < phase.required_bits for phase in served),
+        "margin_violations": sum(
+            not (phase.degraded or phase.margin_fallback)
+            and not oracle.mode_is_safe(phase.served_bits, phase.decided_at_ns)
+            for phase in served
+        ),
+        "margin_fallbacks": counters["margin_fallbacks"],
+        "degraded": counters["degraded"],
+        "transition_retries": counters["transition_retries"],
+        "transition_failures": counters["transition_failures"],
+        "generator_dropouts": scheduler.pool.dropouts,
+        "rebalanced_grants": scheduler.pool.rebalanced_grants,
+        # Served energy (compute + transitions), plus the canary probes'
+        # own cost when recalibration is on (J).
+        "energy_j": sum(
+            phase.compute_energy_j + phase.transition_energy_j
+            for phase in served
+        ),
+        "probe_energy_j": 0.0,
+        "recal_probes": 0,
+        "recal_epochs": 0,
+        "recal_demotions": 0,
+        "recal_readvances": 0,
+        "recal_failures": 0,
+        "stayed_up": soak.error is None,
+        "error": soak.error,
+    }
     if recal is not None:
-        report.probe_energy_j = recal.probe_energy_j
-        report.recal_probes = recal.probes_run
-        report.recal_epochs = recal.learner.epoch
-        report.recal_demotions = recal.learner.demotions
-        report.recal_readvances = recal.learner.readvances
-        report.recal_failures = recal.failures
-    # The recalibrating run pays for its own probes; the comparison
-    # against the retreat-only baseline is only honest if it does.
-    report.energy_j = energy_j + report.probe_energy_j
-    return report
+        counts.update(
+            probe_energy_j=recal.probe_energy_j,
+            recal_probes=recal.probes_run,
+            recal_epochs=recal.learner.epoch,
+            recal_demotions=recal.learner.demotions,
+            recal_readvances=recal.learner.readvances,
+            recal_failures=recal.failures,
+        )
+        # The recalibrating run pays for its own probes; the race
+        # against the retreat-only baseline is only honest if it does.
+        counts["energy_j"] += recal.probe_energy_j
+    return counts, {
+        "stayed_up": soak.error is None,
+        "no_accuracy_violations": counts["accuracy_violations"] == 0,
+        "no_margin_violations": counts["margin_violations"] == 0,
+    }
 
 
-# -- recalibration comparator -------------------------------------------------
+# -- recalibration race ------------------------------------------------------
 
 
 def recovery_schedule(
@@ -258,181 +377,91 @@ def recovery_schedule(
     return FaultSchedule(events, seed=seed, horizon_ns=horizon_ns)
 
 
-@dataclass
-class RecalChaosReport:
-    """Retreat-only vs recalibrating guard on one schedule + request mix."""
+def _recal_race(baseline, recalibrating):
+    """Race two serve soaks of one schedule, seed and request mix.
 
-    retreat_only: ServeChaosReport
-    recalibrating: ServeChaosReport
-    energy_reclaimed_j: float = 0.0
-    #: Fraction of the retreat-only run's energy the recalibrating run
-    #: saved, probes included.  Negative means probing cost more than
-    #: re-advancing recovered (e.g. a schedule that never recovers).
-    energy_reclaimed_fraction: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.retreat_only.ok
-            and self.recalibrating.ok
-            and self.recalibrating.recal_epochs > 0
-        )
-
-    def to_dict(self) -> Dict:
-        return {
-            "ok": self.ok,
-            "retreat_only": self.retreat_only.to_dict(),
-            "recalibrating": self.recalibrating.to_dict(),
-            "energy_reclaimed_j": self.energy_reclaimed_j,
-            "energy_reclaimed_fraction": self.energy_reclaimed_fraction,
-        }
-
-    def describe(self) -> str:
-        verdict = "PASS" if self.ok else "FAIL"
-        return (
-            f"recal chaos [{verdict}]: retreat-only "
-            f"{self.retreat_only.energy_j:.3e} J vs recalibrating "
-            f"{self.recalibrating.energy_j:.3e} J "
-            f"(probes {self.recalibrating.probe_energy_j:.3e} J) -> "
-            f"{100.0 * self.energy_reclaimed_fraction:.1f}% reclaimed, "
-            f"{self.recalibrating.recal_readvances} re-advances, "
-            f"0 violations required on both runs"
-        )
-
-
-def run_recal_chaos(
-    table,
-    schedule: FaultSchedule,
-    num_operators: int = 3,
-    requests: int = 96,
-    seed: int = 7,
-    recal_interval_ns: Optional[float] = None,
-) -> RecalChaosReport:
-    """Race the retreat-only guard against the recalibrating one.
-
-    Identical schedule, seed and request mix; the only difference is the
-    guard's margin source.  The reclaimed-energy fraction charges the
-    recalibrating run for its own canary probes.
+    The only difference is the guard's margin source: retreat-only in
+    *baseline*, the canary-probe loop in *recalibrating*.  The
+    reclaimed-energy fraction charges the recalibrating run for its own
+    probes; negative means probing cost more than re-advancing
+    recovered (e.g. a schedule that never recovers).
     """
-    common = dict(num_operators=num_operators, requests=requests, seed=seed)
-    baseline = run_serve_chaos(
-        table, schedule, retreat_only=True, **common
-    )
-    recal = run_serve_chaos(
-        table,
-        schedule,
-        recalibrate=True,
-        recal_interval_ns=recal_interval_ns,
-        **common,
-    )
-    reclaimed = baseline.energy_j - recal.energy_j
-    fraction = reclaimed / baseline.energy_j if baseline.energy_j else 0.0
-    return RecalChaosReport(
-        retreat_only=baseline,
-        recalibrating=recal,
-        energy_reclaimed_j=reclaimed,
-        energy_reclaimed_fraction=fraction,
-    )
+    base_counts, base_held = baseline
+    recal_counts, recal_held = recalibrating
+    reclaimed = base_counts["energy_j"] - recal_counts["energy_j"]
+    counts = {
+        "retreat_only": _archive(base_counts, base_held),
+        "recalibrating": _archive(recal_counts, recal_held),
+        "energy_reclaimed_j": reclaimed,
+        "energy_reclaimed_fraction": (
+            reclaimed / base_counts["energy_j"]
+            if base_counts["energy_j"]
+            else 0.0
+        ),
+    }
+    return counts, {
+        "retreat_only_ok": all(base_held.values()),
+        "recalibrating_ok": all(recal_held.values()),
+        "recal_epochs": recal_counts["recal_epochs"] > 0,
+    }
 
 
 # -- fleet-side soak ---------------------------------------------------------
 
-#: Requests per ``FleetRouter.submit_many`` call in the fleet soak; a
-#: scheduled worker kill lands between two such submissions.
-FLEET_SOAK_CHUNK = 256
 
+def _peer_lags(phases, trigger, reached, exclude_origin=False):
+    """The fleet soak's per-peer lag audit, or None if nothing triggered.
 
-@dataclass
-class FleetChaosReport:
-    """What the fleet tier did under silicon chaos + a worker kill.
-
-    The schedule is injected on worker 0 only; the soak then checks the
-    *fleet-wide* reactions: every peer that kept serving entered retreat
-    within the router's propagation bound, a killed worker's operators
-    failed over without a dropped request, and the shared-memory segment
-    was gone after shutdown.
+    After the first phase *trigger* accepts, every worker that still
+    decides a request (less that phase's own worker with
+    *exclude_origin*) is a peer that must reach the new state.  A peer's
+    lag counts the requests it decided after the trigger before its
+    first phase that *reached* it -- in requests *that peer* decided,
+    because a worker polls the fleet bus per decision, so an idle peer
+    cannot observe it (and by design, reacting costs nothing on a
+    worker serving nothing).  Returns the lags of the peers that got
+    there and of those that never did.
     """
-
-    workers: int = 0
-    requests: int = 0
-    accuracy_violations: int = 0
-    margin_fallbacks: int = 0
-    fleet_alerts: int = 0
-    fleet_retreats: int = 0
-    degraded: int = 0
-    failovers: int = 0
-    workers_killed: int = 0
-    #: Per-peer request budget: a worker has at most max_inflight x
-    #: batch_window requests already in its pipe when an alert posts,
-    #: and it polls the bus before every decision after that.
-    propagation_bound: int = 0
-    #: Worst measured count of requests any peer decided between the
-    #: first alerting phase and its own first retreat; -1 = no alert.
-    worst_propagation: int = -1
-    peers_retreated: bool = False
-    unanswered_requests: int = 0
-    segment_leaked: bool = False
-    #: Recalibration propagation (only audited when recal is enabled).
-    recal_enabled: bool = False
-    bus_recal_epoch: int = 0
-    fleet_margin_syncs: int = 0
-    #: Worst count of requests any peer decided between the final margin
-    #: epoch first appearing fleet-wide and that peer reporting it.
-    worst_recal_lag: int = -1
-    recal_converged: bool = True
-    stayed_up: bool = False
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.stayed_up
-            and self.accuracy_violations == 0
-            and self.unanswered_requests == 0
-            and self.peers_retreated
-            and 0 <= self.worst_propagation <= self.propagation_bound
-            and not self.segment_leaked
-            and (
-                not self.recal_enabled
-                or (self.recal_converged and self.bus_recal_epoch > 0)
-            )
-        )
-
-    def to_dict(self) -> Dict:
-        return {**dataclasses.asdict(self), "ok": self.ok}
-
-    def describe(self) -> str:
-        verdict = "PASS" if self.ok else "FAIL"
-        return (
-            f"fleet chaos [{verdict}]: {self.requests} requests over "
-            f"{self.workers} workers ({self.workers_killed} killed, "
-            f"{self.failovers} failovers), "
-            f"{self.margin_fallbacks} margin fallbacks -> "
-            f"{self.fleet_alerts} alerts / {self.fleet_retreats} retreats, "
-            f"propagation {self.worst_propagation} <= "
-            f"{self.propagation_bound} requests, "
-            f"{self.accuracy_violations} accuracy violations, "
-            f"segment leaked: {self.segment_leaked}"
-            + (
-                f", recal epoch {self.bus_recal_epoch} "
-                f"({self.fleet_margin_syncs} peer syncs, worst lag "
-                f"{self.worst_recal_lag} <= {self.propagation_bound}, "
-                f"converged: {self.recal_converged})"
-                if self.recal_enabled
-                else ""
-            )
-        )
+    start = next(
+        (
+            index
+            for index, phase in enumerate(phases)
+            if phase is not None and trigger(phase)
+        ),
+        None,
+    )
+    if start is None:
+        return None
+    origin = phases[start].worker_id if exclude_origin else None
+    peers = {
+        phase.worker_id
+        for phase in phases[start + 1 :]
+        if phase is not None and phase.worker_id != origin
+    }
+    lags, stalled = [], []
+    for peer in peers:
+        lag = 0
+        for index, phase in enumerate(phases):
+            if phase is None or phase.worker_id != peer:
+                continue
+            if reached(phase):
+                lags.append(lag)
+                break
+            if index > start:
+                lag += 1
+        else:
+            stalled.append(lag)
+    return lags, stalled
 
 
-def run_fleet_chaos(
+def _fleet_soak(
     table,
     schedule: FaultSchedule,
-    workers: int = 2,
-    num_operators: int = 8,
-    requests: int = 1024,
-    seed: int = 7,
-    recal_interval_ns: float = 0.0,
-) -> FleetChaosReport:
+    workers: int,
+    requests: int,
+    seed: int,
+    recal_interval_ns: float,
+):
     """Soak a fleet against *schedule* injected on worker 0, then audit.
 
     Worker-crash events in the schedule kill one fleet worker process
@@ -440,20 +469,16 @@ def run_fleet_chaos(
     one run exercises degradation propagation *and* failover.  The
     router runs its default policy, batch window and retreat budget;
     requests go out in :data:`FLEET_SOAK_CHUNK`-request submissions.
+    The audits check the *fleet-wide* reactions: every peer that kept
+    serving entered retreat within the per-peer propagation bound (and,
+    with recalibration, adopted the final margin epoch within it), a
+    killed worker's operators failed over without a dropped request,
+    and the shared-memory segment was gone after shutdown.
     """
     from repro.fleet import FleetRouter
+    from repro.serve.scheduler import chaos_requests
     from repro.serve.table import ModeTable
 
-    if workers < 2:
-        raise ValueError("a fleet soak needs at least two workers")
-    if not table.has_margins:
-        raise ValueError(
-            "fleet chaos needs a margined table (the degradation signal "
-            "is the margin guard's fallback); compile with --margins"
-        )
-    report = FleetChaosReport(
-        workers=workers, recal_enabled=recal_interval_ns > 0.0
-    )
     router = FleetRouter(
         table,
         workers=workers,
@@ -463,195 +488,123 @@ def run_fleet_chaos(
         recal_interval_ns=recal_interval_ns,
         recal_seed=seed,
     )
-    report.propagation_bound = router.max_inflight * router.batch_window
-
+    # Per-peer request budget: a worker has at most max_inflight x
+    # batch_window requests already in its pipe when an alert posts, and
+    # it polls the bus before every decision after that.
+    bound = router.max_inflight * router.batch_window
     kill_at = -1
     crash_events = schedule.of_kind(KIND_WORKER_CRASH)
     if crash_events and workers > 2:
         # Scale the first crash window's start into the request stream.
         fraction = crash_events[0].start_ns / max(schedule.horizon_ns, 1.0)
         kill_at = max(1, int(fraction * requests))
-
-    trace = list(chaos_requests(table, num_operators, requests, seed))
-    phases = []
-    try:
-        router.start()
-        segment = router.segment_name
-        victim = None
-        if kill_at >= 0:
-            candidates = [w for w in router.alive_workers if w != 0]
-            victim = candidates[
-                max(0, crash_events[0].target) % len(candidates)
-            ]
-        for offset in range(0, len(trace), FLEET_SOAK_CHUNK):
-            if victim is not None and offset + FLEET_SOAK_CHUNK > kill_at:
-                handle = router._workers.get(victim)
-                if handle is not None:
-                    handle.process.kill()
-                    handle.process.join()
-                    report.workers_killed += 1
-                victim = None
-            phases.extend(
-                router.submit_many(trace[offset : offset + FLEET_SOAK_CHUNK])
-            )
-        stats = router.stats()
-    except Exception as error:  # the soak's "stays up" criterion
-        report.error = f"{type(error).__name__}: {error}"
+    trace = list(chaos_requests(table, FLEET_OPERATORS, requests, seed))
+    phases, stats, killed, segment = [], {}, 0, None
+    with _stays_up() as soak:
         try:
+            router.start()
+            segment = router.segment_name
+            victim = None
+            if kill_at >= 0:
+                candidates = [w for w in router.alive_workers if w != 0]
+                victim = candidates[
+                    max(0, crash_events[0].target) % len(candidates)
+                ]
+            for offset in range(0, len(trace), FLEET_SOAK_CHUNK):
+                if victim is not None and offset + FLEET_SOAK_CHUNK > kill_at:
+                    handle = router._workers.get(victim)
+                    if handle is not None:
+                        handle.process.kill()
+                        handle.process.join()
+                        killed += 1
+                    victim = None
+                phases.extend(
+                    router.submit_many(
+                        trace[offset : offset + FLEET_SOAK_CHUNK]
+                    )
+                )
+            stats = router.stats()
+        finally:
             router.stop()
-        except Exception:  # pragma: no cover - double fault
+
+    # The segment must be unlinked once the fleet is down.
+    leaked = False
+    if segment is not None:
+        try:
+            ModeTable.from_shared(segment).close()
+            leaked = True  # pragma: no cover - leak
+        except ValueError:
             pass
-        return report
-    report.stayed_up = True
-    router.stop()
 
-    # Segment must be unlinked once the fleet is down.
-    try:
-        ModeTable.from_shared(segment).close()
-        report.segment_leaked = True  # pragma: no cover - leak
-    except ValueError:
-        report.segment_leaked = False
-
-    report.requests = len([p for p in phases if p is not None])
-    report.unanswered_requests = len(phases) - report.requests
-    counters = stats["counters"]
-    report.margin_fallbacks = counters.get("margin_fallbacks", 0)
-    report.fleet_alerts = counters.get("fleet_alerts", 0)
-    report.fleet_retreats = counters.get("fleet_retreats", 0)
-    report.degraded = counters.get("degraded", 0)
-    report.accuracy_violations = counters.get("accuracy_violations", 0)
-    report.failovers = stats["failovers"]
-
-    for phase in phases:
-        if phase is not None and phase.served_bits < phase.required_bits:
-            report.accuracy_violations += 1
-
-    # Propagation audit: after the first alerting phase, every *other*
-    # worker that serves again must retreat within its in-flight budget
-    # -- counted in requests *that peer* decided, because an idle peer
-    # cannot observe the bus (it polls per decision, and that is the
-    # point: retreat costs nothing on a worker serving nothing).
-    alert_index = next(
-        (
-            index
-            for index, phase in enumerate(phases)
-            if phase is not None and phase.margin_fallback
-        ),
-        None,
+    counters = stats.get("counters", {})
+    answered = [phase for phase in phases if phase is not None]
+    counts = {
+        "workers": workers,
+        "requests": len(answered),
+        "accuracy_violations": counters.get("accuracy_violations", 0)
+        + sum(phase.served_bits < phase.required_bits for phase in answered),
+        "margin_fallbacks": counters.get("margin_fallbacks", 0),
+        "fleet_alerts": counters.get("fleet_alerts", 0),
+        "fleet_retreats": counters.get("fleet_retreats", 0),
+        "degraded": counters.get("degraded", 0),
+        "failovers": stats.get("failovers", 0),
+        "workers_killed": killed,
+        "propagation_bound": bound,
+        # Worst count of requests any peer decided between the first
+        # alerting phase and its own first retreat; -1 = no alert.
+        "worst_propagation": -1,
+        "peers_retreated": False,
+        "unanswered_requests": len(phases) - len(answered),
+        "segment_leaked": leaked,
+        "recal_enabled": recal_interval_ns > 0.0,
+        "bus_recal_epoch": 0,
+        "fleet_margin_syncs": 0,
+        # Worst count of requests any peer decided between the final
+        # margin epoch first appearing fleet-wide and that peer reporting
+        # it; peers that stop deciding within the bound are exempt.
+        "worst_recal_lag": -1,
+        "recal_converged": True,
+        "stayed_up": soak.error is None,
+        "error": soak.error,
+    }
+    alert = _peer_lags(
+        phases,
+        lambda phase: phase.margin_fallback,
+        lambda phase: phase.fleet_retreat,
+        exclude_origin=True,
     )
-    if alert_index is not None:
-        origin = phases[alert_index].worker_id
-        gaps = []
-        peers_ok = True
-        peers = {
-            phase.worker_id
-            for phase in phases[alert_index + 1 :]
-            if phase is not None and phase.worker_id != origin
-        }
-        for peer in peers:
-            unaware = 0
-            retreated = False
-            for index, phase in enumerate(phases):
-                if phase is None or phase.worker_id != peer:
-                    continue
-                if phase.fleet_retreat:
-                    retreated = True
-                    break
-                if index > alert_index:
-                    unaware += 1
-            if not retreated:
-                peers_ok = False
-                continue
-            gaps.append(unaware)
-        report.peers_retreated = peers_ok and bool(peers)
-        if gaps:
-            report.worst_propagation = max(gaps)
+    if alert is not None:
+        lags, stalled = alert
+        counts["peers_retreated"] = bool(lags) and not stalled
+        counts["worst_propagation"] = max(lags, default=-1)
+    if counts["recal_enabled"]:
+        counts["bus_recal_epoch"] = stats.get("bus_recal_epoch", 0)
+        counts["fleet_margin_syncs"] = counters.get("fleet_margin_syncs", 0)
+        final = max((phase.recal_epoch for phase in answered), default=0)
 
-    # Recal-epoch convergence audit: the final committed margin epoch
-    # must reach every peer that keeps deciding within the same bounded
-    # window degradation honors (a peer that stops deciding cannot poll
-    # the bus -- by design retreat/re-advance costs nothing on a worker
-    # serving nothing, so such peers are exempt, not failures).
-    if report.recal_enabled:
-        report.bus_recal_epoch = stats.get("bus_recal_epoch", 0)
-        report.fleet_margin_syncs = counters.get("fleet_margin_syncs", 0)
-        final_epoch = max(
-            (p.recal_epoch for p in phases if p is not None), default=0
-        )
-        if final_epoch <= 0:
-            report.recal_converged = False
+        def adopted(phase):
+            return 0 < final <= phase.recal_epoch
+
+        epoch = _peer_lags(phases, adopted, adopted)
+        if epoch is None:
+            counts["recal_converged"] = False
         else:
-            first_index = next(
-                index
-                for index, phase in enumerate(phases)
-                if phase is not None and phase.recal_epoch == final_epoch
-            )
-            lags = []
-            converged = True
-            tail = [p for p in phases[first_index + 1 :] if p is not None]
-            for peer in {p.worker_id for p in tail}:
-                lag = 0
-                reached = False
-                for phase in tail:
-                    if phase.worker_id != peer:
-                        continue
-                    if phase.recal_epoch >= final_epoch:
-                        reached = True
-                        break
-                    lag += 1
-                if reached:
-                    lags.append(lag)
-                elif lag >= report.propagation_bound:
-                    converged = False
-            report.recal_converged = converged
-            if lags:
-                report.worst_recal_lag = max(lags)
-    return report
+            lags, stalled = epoch
+            counts["recal_converged"] = all(lag < bound for lag in stalled)
+            counts["worst_recal_lag"] = max(lags, default=-1)
+    return counts, {
+        "stayed_up": soak.error is None,
+        "no_accuracy_violations": counts["accuracy_violations"] == 0,
+        "no_unanswered_requests": counts["unanswered_requests"] == 0,
+        "peers_retreated": counts["peers_retreated"],
+        "propagation_within_bound": 0 <= counts["worst_propagation"] <= bound,
+        "segment_unlinked": not leaked,
+        "recal_converged": not counts["recal_enabled"]
+        or (counts["recal_converged"] and counts["bus_recal_epoch"] > 0),
+    }
 
 
 # -- exploration-side soak ---------------------------------------------------
-
-
-@dataclass
-class ExplorationChaosReport:
-    """What the sharded engine survived, and whether results held."""
-
-    shards: int = 0
-    worker_crashes: int = 0
-    pool_respawns: int = 0
-    shard_retries: int = 0
-    shard_timeouts: int = 0
-    cache_entries_corrupted: int = 0
-    cache_invalidations: int = 0
-    faults_fired: List[str] = field(default_factory=list)
-    bit_identical: bool = False
-    recovered_after_corruption: bool = False
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.error is None
-            and self.bit_identical
-            and (
-                self.cache_entries_corrupted == 0
-                or self.recovered_after_corruption
-            )
-        )
-
-    def to_dict(self) -> Dict:
-        return {**dataclasses.asdict(self), "ok": self.ok}
-
-    def describe(self) -> str:
-        verdict = "PASS" if self.ok else "FAIL"
-        return (
-            f"exploration chaos [{verdict}]: {self.shards} shards, "
-            f"{self.worker_crashes} crashes / {self.pool_respawns} pool "
-            f"respawns / {self.shard_retries} retries, "
-            f"{self.cache_entries_corrupted} cache entries corrupted "
-            f"({self.cache_invalidations} invalidated on reload), "
-            f"bit-identical: {self.bit_identical}"
-        )
 
 
 def _results_identical(reference, result) -> bool:
@@ -665,25 +618,12 @@ def _results_identical(reference, result) -> bool:
     )
 
 
-def run_exploration_chaos(
-    design,
-    settings,
-    schedule: FaultSchedule,
-    workdir: os.PathLike,
-    workers: int = 2,
-) -> ExplorationChaosReport:
+def _exploration_soak(design, settings, schedule: FaultSchedule):
     """Crash workers mid-sweep, corrupt the cache, demand identical bits."""
     from repro.parallel.engine import ParallelExplorer
     from repro.parallel.shards import plan_shards
 
-    report = ExplorationChaosReport()
-    workdir = os.fspath(workdir)
-    cache_dir = os.path.join(workdir, "chaos-cache")
-    marker_dir = os.path.join(workdir, "chaos-faults")
-    log = InjectionLog()
-
     shards = plan_shards(settings)
-    report.shards = len(shards)
     crash_shards = tuple(
         sorted(
             {
@@ -692,178 +632,67 @@ def run_exploration_chaos(
             }
         )
     )
-    log.worker_crashes_armed = len(crash_shards)
-    plan = WorkerFaultPlan(marker_dir=marker_dir, crash_shards=crash_shards)
-
-    serial_settings = dataclasses.replace(
-        settings, workers=1, cache=False, cache_dir=None
-    )
-    chaos_settings = dataclasses.replace(
-        settings, workers=max(2, workers), cache=True, cache_dir=cache_dir
-    )
-
-    try:
-        reference = ParallelExplorer(design).run(serial_settings)
-        chaotic = ParallelExplorer(
-            design,
-            fault_plan=plan,
-            max_shard_retries=max(2, len(crash_shards)),
-        ).run(chaos_settings)
-    except Exception as error:
-        report.error = f"{type(error).__name__}: {error}"
-        return report
-
-    report.bit_identical = _results_identical(reference, chaotic)
-    report.faults_fired = plan.fired()
-    stats = chaotic.fault_stats
-    if stats is not None:
-        report.worker_crashes = stats.worker_crashes
-        report.pool_respawns = stats.pool_respawns
-        report.shard_retries = stats.shard_retries
-        report.shard_timeouts = stats.shard_timeouts
-
-    # Corrupt the now-warm cache and demand detect-discard-recompute.
-    wanted = len(schedule.of_kind(KIND_CACHE_CORRUPT))
-    if wanted:
-        damaged = corrupt_cache_entries(cache_dir, count=wanted)
-        log.cache_entries_corrupted = damaged
-        report.cache_entries_corrupted = damaged
-        try:
-            rerun = ParallelExplorer(design).run(chaos_settings)
-        except Exception as error:
-            report.error = f"{type(error).__name__}: {error}"
-            return report
-        report.recovered_after_corruption = _results_identical(
-            reference, rerun
+    counts = {
+        "shards": len(shards),
+        "worker_crashes": 0,
+        "pool_respawns": 0,
+        "shard_retries": 0,
+        "shard_timeouts": 0,
+        "cache_entries_corrupted": 0,
+        "cache_invalidations": 0,
+        "faults_fired": [],
+        "bit_identical": False,
+        "recovered_after_corruption": False,
+        "error": None,
+    }
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
+        cache_dir = os.path.join(workdir, "chaos-cache")
+        plan = WorkerFaultPlan(
+            marker_dir=os.path.join(workdir, "chaos-faults"),
+            crash_shards=crash_shards,
         )
-        if rerun.cache_stats is not None:
-            report.cache_invalidations = rerun.cache_stats.invalidations
-    return report
-
-
-# -- the full run ------------------------------------------------------------
-
-
-@dataclass
-class ChaosReport:
-    """One seeded chaos run, end to end."""
-
-    schedule: FaultSchedule
-    serve: ServeChaosReport
-    exploration: Optional[ExplorationChaosReport] = None
-    fleet: Optional[FleetChaosReport] = None
-    recal: Optional[RecalChaosReport] = None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.serve.ok
-            and (self.exploration is None or self.exploration.ok)
-            and (self.fleet is None or self.fleet.ok)
-            and (self.recal is None or self.recal.ok)
+        serial_settings = dataclasses.replace(
+            settings, workers=1, cache=False, cache_dir=None
         )
-
-    def to_dict(self) -> Dict:
-        return {
-            "ok": self.ok,
-            "schedule": self.schedule.to_dict(),
-            "serve": self.serve.to_dict(),
-            "exploration": (
-                self.exploration.to_dict()
-                if self.exploration is not None
-                else None
-            ),
-            "fleet": (
-                self.fleet.to_dict() if self.fleet is not None else None
-            ),
-            "recal": (
-                self.recal.to_dict() if self.recal is not None else None
-            ),
-        }
-
-    def describe(self) -> str:
-        lines = [self.schedule.describe(), self.serve.describe()]
-        if self.exploration is not None:
-            lines.append(self.exploration.describe())
-        if self.fleet is not None:
-            lines.append(self.fleet.describe())
-        if self.recal is not None:
-            lines.append(self.recal.describe())
-        lines.append(f"chaos run: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def run_chaos(
-    table,
-    schedule: FaultSchedule,
-    design=None,
-    settings=None,
-    workdir: Optional[os.PathLike] = None,
-    num_operators: int = 3,
-    requests: int = 96,
-    seed: int = 7,
-    fleet_workers: int = 0,
-    fleet_requests: int = 1024,
-    recalibrate: bool = False,
-    recal_interval_ns: Optional[float] = None,
-) -> ChaosReport:
-    """Replay *schedule* against serving and (optionally) exploration.
-
-    ``fleet_workers >= 2`` additionally soaks the fleet tier
-    (:func:`run_fleet_chaos`) with the same schedule and seed.
-    ``recalibrate=True`` serves with the canary-probe loop attached,
-    races it against the retreat-only baseline for the reclaimed-energy
-    report, and (with a fleet) audits margin-epoch propagation.
-    """
-    recal = None
-    if recalibrate:
-        recal = run_recal_chaos(
-            table,
-            schedule,
-            num_operators=num_operators,
-            requests=requests,
-            seed=seed,
-            recal_interval_ns=recal_interval_ns,
+        chaos_settings = dataclasses.replace(
+            settings,
+            workers=EXPLORATION_WORKERS,
+            cache=True,
+            cache_dir=cache_dir,
         )
-        serve = recal.recalibrating
-    else:
-        serve = run_serve_chaos(
-            table,
-            schedule,
-            num_operators=num_operators,
-            requests=requests,
-            seed=seed,
-        )
-    exploration = None
-    if design is not None:
-        if settings is None or workdir is None:
-            raise ValueError(
-                "exploration chaos needs settings and a workdir"
-            )
-        exploration = run_exploration_chaos(
-            design, settings, schedule, workdir
-        )
-    fleet = None
-    if fleet_workers:
-        fleet_recal_interval = 0.0
-        if recalibrate:
-            fleet_recal_interval = (
-                recal_interval_ns
-                if recal_interval_ns is not None
-                else max(schedule.horizon_ns, 1.0) / 32.0
-            )
-        fleet = run_fleet_chaos(
-            table,
-            schedule,
-            workers=fleet_workers,
-            requests=fleet_requests,
-            seed=seed,
-            recal_interval_ns=fleet_recal_interval,
-        )
-    return ChaosReport(
-        schedule=schedule,
-        serve=serve,
-        exploration=exploration,
-        fleet=fleet,
-        recal=recal,
-    )
+        with _stays_up() as soak:
+            reference = ParallelExplorer(design).run(serial_settings)
+            chaotic = ParallelExplorer(
+                design,
+                fault_plan=plan,
+                max_shard_retries=max(2, len(crash_shards)),
+            ).run(chaos_settings)
+            counts["bit_identical"] = _results_identical(reference, chaotic)
+            counts["faults_fired"] = plan.fired()
+            stats = chaotic.fault_stats
+            if stats is not None:
+                counts["worker_crashes"] = stats.worker_crashes
+                counts["pool_respawns"] = stats.pool_respawns
+                counts["shard_retries"] = stats.shard_retries
+                counts["shard_timeouts"] = stats.shard_timeouts
+            # Corrupt the now-warm cache; demand detect-discard-recompute.
+            wanted = len(schedule.of_kind(KIND_CACHE_CORRUPT))
+            if wanted:
+                counts["cache_entries_corrupted"] = corrupt_cache_entries(
+                    cache_dir, count=wanted
+                )
+                rerun = ParallelExplorer(design).run(chaos_settings)
+                counts["recovered_after_corruption"] = _results_identical(
+                    reference, rerun
+                )
+                if rerun.cache_stats is not None:
+                    counts["cache_invalidations"] = (
+                        rerun.cache_stats.invalidations
+                    )
+    counts["error"] = soak.error
+    return counts, {
+        "no_error": soak.error is None,
+        "bit_identical": counts["bit_identical"],
+        "recovered_after_corruption": counts["cache_entries_corrupted"] == 0
+        or counts["recovered_after_corruption"],
+    }

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Tuple
 
@@ -79,24 +79,6 @@ class WorkerFaultPlan:
         if not root.is_dir():
             return []
         return sorted(p.name for p in root.iterdir())
-
-
-@dataclass
-class InjectionLog:
-    """What the chaos harness did to the infrastructure, for the report."""
-
-    worker_crashes_armed: int = 0
-    hangs_armed: int = 0
-    cache_entries_corrupted: int = 0
-    details: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "worker_crashes_armed": self.worker_crashes_armed,
-            "hangs_armed": self.hangs_armed,
-            "cache_entries_corrupted": self.cache_entries_corrupted,
-            "details": list(self.details),
-        }
 
 
 def corrupt_cache_entries(cache_dir: os.PathLike, count: int = 1) -> int:

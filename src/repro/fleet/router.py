@@ -107,10 +107,6 @@ class _WorkerHandle:
         self.inflight: deque = deque()
         self.queue: deque = deque()
 
-    @property
-    def can_send(self) -> bool:
-        return bool(self.queue)
-
 
 class FleetRouter:
     """Routes accuracy-mode requests across a worker-process fleet."""

@@ -100,17 +100,8 @@ class NetlistBuilder:
     def or2(self, a: Net, b: Net) -> Net:
         return self.gate("OR2", a, b)
 
-    def nand2(self, a: Net, b: Net) -> Net:
-        return self.gate("NAND2", a, b)
-
-    def nor2(self, a: Net, b: Net) -> Net:
-        return self.gate("NOR2", a, b)
-
     def xor2(self, a: Net, b: Net) -> Net:
         return self.gate("XOR2", a, b)
-
-    def xnor2(self, a: Net, b: Net) -> Net:
-        return self.gate("XNOR2", a, b)
 
     def mux2(self, a: Net, b: Net, select: Net) -> Net:
         """2:1 multiplexer: output = a when select=0, b when select=1."""

@@ -104,6 +104,20 @@ class ServeRequest:
             raise ValueError("cycles must be >= 0")
 
 
+def chaos_requests(table, num_operators: int, count: int, seed: int):
+    """Deterministic ``(operator, bits, cycles)`` request mix over
+    *num_operators* instances: the workload of ``serve --soak``,
+    ``fleet-serve`` and the chaos soaks."""
+    rng = np.random.default_rng(seed)
+    bitwidths = table.bitwidths
+    for index in range(count):
+        yield (
+            f"op{index % num_operators}",
+            int(rng.choice(bitwidths)),
+            int(rng.integers(1_000, 20_000)),
+        )
+
+
 @dataclass(frozen=True)
 class ServedPhase:
     """The scheduler's answer: which mode ran and what it cost."""

@@ -5,8 +5,8 @@ domain-partitioned design per (bitwidth, VDD) knob point as timing
 feasible or not (the paper reports ~75 % rejected).  The timing graph is
 the *same* for every assignment -- only per-cell delay factors
 ``f(VDD, Vth[domain])`` change -- so any set of assignments can share one
-levelized sweep: arrival and required times become ``(combos, nets)``
-matrices with the BB combination stacked on a leading axis, the per-arc
+levelized sweep: arrival times become a ``(combos, nets)`` matrix
+with the BB combination stacked on a leading axis, the per-arc
 delay broadcasts as a ``(combos, arcs-in-level)`` block, and the
 infeasibility filter collapses to one masked reduction per knob point.
 The explorer does not send the whole lattice: boosting a domain never
@@ -19,8 +19,7 @@ operations (same multiplies, same exact max/min reductions, same
 POS_INF masking), so its per-combo WNS, feasibility mask and
 critical-endpoint ids are **bit-identical** to looping
 :meth:`repro.sta.engine.StaEngine.analyze` over the combinations -- the
-differential and hypothesis suites hold it to that.  It also runs the
-backward (required-time) sweep on the same lattice axis.
+differential and hypothesis suites hold it to that.
 :meth:`LatticeStaEngine.analyze_factors` takes arbitrary per-(combo,
 cell) delay factors, which is how the multi-Vth extension
 (:mod:`repro.core.tristate`) sweeps {RBB, NoBB, FBB} assignments.
@@ -97,10 +96,9 @@ class _PaddedLevel:
     reduction order cannot move a single bit relative to the ragged
     left-fold.
 
-    ``endpoint_pad`` is ``arc_from`` (forward) / ``arc_to`` (backward)
-    of ``arc_pad`` -- the gather side precomputed once.  Both are flat
-    ``(segments * fanin,)`` arrays so the sweep can add into one
-    preallocated 2-D scratch block.
+    ``endpoint_pad`` is ``arc_from`` of ``arc_pad`` -- the gather side
+    precomputed once.  Both are flat ``(segments * fanin,)`` arrays so
+    the sweep can add into one preallocated 2-D scratch block.
     """
 
     arc_pad: np.ndarray
@@ -170,36 +168,6 @@ def lattice_sweep_forward(
         arrival[level.nets] = best
 
 
-def lattice_sweep_backward(
-    levels,
-    arc_delay: np.ndarray,
-    required: np.ndarray,
-    scratch: Optional[np.ndarray] = None,
-) -> None:
-    """Levelized required-time propagation (min) over ``(nets, combos)``.
-
-    *levels* is the padded compilation of ``schedule.backward``, walked
-    sink-to-source.
-    """
-    combos = required.shape[1]
-    for level in reversed(levels):
-        slots = level.segments * level.fanin
-        if scratch is not None:
-            candidate = scratch[: slots * combos].reshape(slots, combos)
-            np.subtract(
-                required[level.endpoint_pad],
-                arc_delay[level.arc_pad],
-                out=candidate,
-            )
-        else:
-            candidate = required[level.endpoint_pad] - arc_delay[level.arc_pad]
-        best = candidate.reshape(
-            level.segments, level.fanin, combos
-        ).min(axis=1)
-        np.minimum(required[level.nets], best, out=best)
-        required[level.nets] = best
-
-
 # -- results ----------------------------------------------------------------
 
 
@@ -212,9 +180,9 @@ class LatticeTimingResult:
     ``critical_endpoint_net[k]`` is the net id of combo *k*'s worst-slack
     active endpoint (first one in endpoint order on ties, matching
     ``np.argmin``), or -1 when the case analysis deactivated every
-    endpoint.  ``arrival_ps`` / ``required_ps`` are the ``(combos,
-    nets)`` matrices, retained only when the engine was asked to keep
-    them (they are the memory-heavy part of the pass).
+    endpoint.  ``arrival_ps`` is the ``(combos, nets)`` matrix, retained
+    only when the engine was asked to keep it (it is the memory-heavy
+    part of the pass).
     """
 
     constraint: ClockConstraint
@@ -223,7 +191,6 @@ class LatticeTimingResult:
     worst_slack_ps: np.ndarray
     critical_endpoint_net: np.ndarray
     arrival_ps: Optional[np.ndarray] = None
-    required_ps: Optional[np.ndarray] = None
 
     @property
     def feasible(self) -> np.ndarray:
@@ -268,7 +235,7 @@ class LatticeStaEngine:
         self.library = library
         self.domains = domains
         self.num_domains = num_domains
-        # Padded level compilations per levelized schedule and direction.
+        # Padded forward-level compilations per levelized schedule.
         # Case-filtered schedules live on their CaseAnalysis, so the
         # entries are weak: a case's padded levels die with the case.
         self._padded_cache = weakref.WeakKeyDictionary()
@@ -294,21 +261,12 @@ class LatticeStaEngine:
             )
         )
 
-    def _padded_levels(self, schedule: LevelizedSchedule, backward: bool):
-        """Padded forward or backward levels of *schedule*, memoized.
-
-        Backward levels are keyed by source net, so a high-fanout net
-        pads its whole level to its fanout; they are compiled only for
-        a sweep that computes required times.
-        """
-        padded = self._padded_cache.setdefault(schedule, {})
-        levels = padded.get(backward)
+    def _padded_levels(self, schedule: LevelizedSchedule):
+        """Padded forward levels of *schedule*, memoized."""
+        levels = self._padded_cache.get(schedule)
         if levels is None:
-            if backward:
-                levels = _pad_levels(schedule.backward, self.graph.arc_to)
-            else:
-                levels = _pad_levels(schedule.forward, self.graph.arc_from)
-            padded[backward] = levels
+            levels = _pad_levels(schedule.forward, self.graph.arc_from)
+            self._padded_cache[schedule] = levels
         return levels
 
     def _scratch_view(self, role: str, rows: int, lanes: int) -> np.ndarray:
@@ -369,15 +327,13 @@ class LatticeStaEngine:
         vdd: float,
         configs: Optional[np.ndarray] = None,
         case: Optional[CaseAnalysis] = None,
-        compute_required: bool = False,
         keep_arrays: bool = False,
     ) -> LatticeTimingResult:
         """Evaluate every BB combination in *configs* in one tensor pass.
 
         *configs* is a (combos, num_domains) boolean matrix, True = FBB
-        (default: the full 2^NMAX lattice).  ``compute_required`` also
-        runs the backward sweep, yielding the ``(combos, nets)`` required
-        matrix; ``keep_arrays`` retains arrival/required on the result.
+        (default: the full 2^NMAX lattice).  ``keep_arrays`` retains the
+        arrival matrix on the result.
         """
         if configs is None:
             configs = all_bb_configs(self.num_domains)
@@ -393,7 +349,6 @@ class LatticeStaEngine:
             vdd=vdd,
             configs=configs,
             case=case,
-            compute_required=compute_required,
             keep_arrays=keep_arrays,
         )
 
@@ -404,7 +359,6 @@ class LatticeStaEngine:
         vdd: float = float("nan"),
         configs: Optional[np.ndarray] = None,
         case: Optional[CaseAnalysis] = None,
-        compute_required: bool = False,
         keep_arrays: bool = False,
     ) -> LatticeTimingResult:
         """Lattice sweep under explicit per-(combo, cell) delay factors.
@@ -424,16 +378,9 @@ class LatticeStaEngine:
         if configs is None:
             configs = np.zeros((num_combos, self.num_domains), dtype=bool)
         schedule = schedule_for(graph, case)
-        forward_levels = self._padded_levels(schedule, backward=False)
-        backward_levels = (
-            self._padded_levels(schedule, backward=True)
-            if compute_required
-            else []
-        )
+        forward_levels = self._padded_levels(schedule)
         slots = max(
-            (lvl.segments * lvl.fanin
-             for lvl in forward_levels + backward_levels),
-            default=0,
+            (lvl.segments * lvl.fanin for lvl in forward_levels), default=0
         )
         period = constraint.effective_period_ps
         # Flat: each level views its own (slots, combos) prefix.
@@ -507,18 +454,6 @@ class LatticeStaEngine:
             worst = np.full(num_combos, POS_INF)
             critical_net = np.full(num_combos, -1, dtype=np.int64)
 
-        required = None
-        if compute_required:
-            required = np.full((graph.num_nets, num_combos), POS_INF)
-            # Endpoint seeding stays a scatter (endpoints are few and may
-            # repeat a net), with whole combo rows as the scatter payload
-            # -- exactly the scalar engine's per-combo minimum.at.
-            seed = np.where(endpoint_active, endpoint_required, POS_INF)
-            np.minimum.at(required, graph.endpoint_nets, seed)
-            lattice_sweep_backward(
-                backward_levels, arc_delay, required, candidate
-            )
-
         return LatticeTimingResult(
             constraint=constraint,
             vdd=vdd,
@@ -526,11 +461,6 @@ class LatticeStaEngine:
             worst_slack_ps=worst,
             critical_endpoint_net=critical_net,
             arrival_ps=arrival.transpose() if keep_arrays else None,
-            required_ps=(
-                required.transpose()
-                if keep_arrays and required is not None
-                else None
-            ),
         )
 
     def analyze_ladder(

@@ -8,8 +8,6 @@ cache corruption bit-identically.  Every soak here is seeded and
 replayable -- a failure reproduces from its seed alone.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core.config import ExplorationSettings
@@ -25,12 +23,8 @@ from repro.faults import (
     KIND_WORKER_CRASH,
     FaultEvent,
     FaultSchedule,
-    recovery_schedule,
-    run_chaos,
-    run_exploration_chaos,
-    run_recal_chaos,
-    run_serve_chaos,
 )
+from repro.faults.chaos import recovery_schedule, run_chaos
 from repro.operators import adequate_adder
 from repro.pnr.grid import GridPartition
 from tests.conftest import build_margined_table
@@ -81,31 +75,33 @@ def hand_built_storm():
 
 class TestServeSoak:
     def test_hand_built_storm_engages_every_mechanism(self):
-        report = run_serve_chaos(
+        report = run_chaos(
             build_margined_table(), hand_built_storm(), num_operators=3
         )
+        serve = report.counts["serve"]
         assert report.ok
-        assert report.stayed_up
-        assert report.requests == 96
-        assert report.accuracy_violations == 0
-        assert report.margin_violations == 0
+        assert serve["stayed_up"]
+        assert serve["requests"] == 96
+        assert serve["accuracy_violations"] == 0
+        assert serve["margin_violations"] == 0
         # The storm is built so each defence demonstrably fired.
-        assert report.margin_fallbacks > 0
-        assert report.generator_dropouts >= 1
-        assert report.transition_retries + report.transition_failures > 0
-        assert "[PASS]" in report.describe()
+        assert serve["margin_fallbacks"] > 0
+        assert serve["generator_dropouts"] >= 1
+        assert serve["transition_retries"] + serve["transition_failures"] > 0
+        assert "serve chaos [PASS]" in report.describe()
 
     @pytest.mark.parametrize("seed", [3, 7, 11, 2017])
     def test_seeded_soaks_never_underserve(self, seed):
         schedule = FaultSchedule.generate(
             seed, horizon_ns=SOAK_HORIZON_NS, num_generators=2
         )
-        report = run_serve_chaos(
+        report = run_chaos(
             build_margined_table(), schedule, num_operators=3, seed=seed
         )
-        assert report.stayed_up, report.error
-        assert report.accuracy_violations == 0
-        assert report.margin_violations == 0
+        serve = report.counts["serve"]
+        assert serve["stayed_up"], serve["error"]
+        assert serve["accuracy_violations"] == 0
+        assert serve["margin_violations"] == 0
         assert report.ok
 
     def test_thin_margins_force_fallbacks_not_violations(self):
@@ -116,30 +112,34 @@ class TestServeSoak:
         schedule = FaultSchedule(
             [FaultEvent(KIND_TEMP_DRIFT, 0.0, SOAK_HORIZON_NS, magnitude=25.0)]
         )
-        report = run_serve_chaos(table, schedule, num_operators=3)
+        report = run_chaos(table, schedule, num_operators=3)
         assert report.ok
-        assert report.margin_fallbacks > 0
-        assert report.margin_violations == 0
+        assert report.counts["serve"]["margin_fallbacks"] > 0
+        assert report.counts["serve"]["margin_violations"] == 0
 
     def test_operator_count_validated(self):
         with pytest.raises(ValueError, match="operator"):
-            run_serve_chaos(
+            run_chaos(
                 build_margined_table(), FaultSchedule([]), num_operators=0
             )
 
     def test_request_count_validated(self):
         with pytest.raises(ValueError, match="request"):
-            run_serve_chaos(
-                build_margined_table(), FaultSchedule([]), requests=0
-            )
+            run_chaos(build_margined_table(), FaultSchedule([]), requests=0)
 
     def test_report_serializes(self):
-        report = run_serve_chaos(
+        report = run_chaos(
             build_margined_table(), FaultSchedule([]), requests=6
         )
         payload = report.to_dict()
         assert payload["ok"] is True
-        assert payload["requests"] == 6
+        assert payload["serve"]["ok"] is True
+        assert payload["serve"]["requests"] == 6
+        assert report.invariants["serve"] == {
+            "stayed_up": True,
+            "no_accuracy_violations": True,
+            "no_margin_violations": True,
+        }
 
 
 class TestRecalSoak:
@@ -149,25 +149,31 @@ class TestRecalSoak:
         the recovery (reclaiming >= 10% of the retreat-only baseline's
         energy, canary probes charged) and retreat again into the
         relapse -- with zero accuracy/margin violations on both runs."""
-        report = run_recal_chaos(
+        report = run_chaos(
             build_margined_table(),
             recovery_schedule(SOAK_HORIZON_NS, 60.0, relapse=True, seed=1),
             requests=256,
             seed=7,
+            recalibrate=True,
         )
         assert report.ok, report.describe()
-        assert report.retreat_only.accuracy_violations == 0
-        assert report.retreat_only.margin_violations == 0
-        assert report.recalibrating.accuracy_violations == 0
-        assert report.recalibrating.margin_violations == 0
-        assert report.recalibrating.recal_readvances > 0
-        assert report.recalibrating.recal_demotions > 0
-        assert report.energy_reclaimed_fraction >= 0.10
-        assert "[PASS]" in report.describe()
+        race = report.counts["recal"]
+        baseline, recal = race["retreat_only"], race["recalibrating"]
+        assert baseline["accuracy_violations"] == 0
+        assert baseline["margin_violations"] == 0
+        assert recal["accuracy_violations"] == 0
+        assert recal["margin_violations"] == 0
+        assert recal["recal_readvances"] > 0
+        assert recal["recal_demotions"] > 0
+        assert race["energy_reclaimed_fraction"] >= 0.10
+        assert race["energy_reclaimed_j"] == pytest.approx(
+            baseline["energy_j"] - recal["energy_j"]
+        )
+        assert "recal chaos [PASS]" in report.describe()
         payload = report.to_dict()
-        assert payload["ok"] is True
-        assert payload["energy_reclaimed_fraction"] == pytest.approx(
-            report.energy_reclaimed_fraction
+        assert payload["recal"]["ok"] is True
+        assert payload["recal"]["energy_reclaimed_fraction"] == pytest.approx(
+            race["energy_reclaimed_fraction"]
         )
 
     def test_recalibrating_soak_holds_under_seeded_storm(self):
@@ -176,27 +182,19 @@ class TestRecalSoak:
         schedule = FaultSchedule.generate(
             11, horizon_ns=SOAK_HORIZON_NS, num_generators=2
         )
-        report = run_serve_chaos(
+        report = run_chaos(
             build_margined_table(),
             schedule,
             num_operators=3,
             seed=11,
             recalibrate=True,
         )
-        assert report.ok, report.describe()
-        assert report.margin_violations == 0
-        assert report.accuracy_violations == 0
-        assert report.recal_epochs > 0
-        assert report.probe_energy_j > 0.0
-
-    def test_recalibrate_and_retreat_only_are_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_serve_chaos(
-                build_margined_table(),
-                FaultSchedule([]),
-                recalibrate=True,
-                retreat_only=True,
-            )
+        serve = report.counts["serve"]
+        assert all(report.invariants["serve"].values()), report.describe()
+        assert serve["margin_violations"] == 0
+        assert serve["accuracy_violations"] == 0
+        assert serve["recal_epochs"] > 0
+        assert serve["probe_energy_j"] > 0.0
 
     def test_run_chaos_recalibrate_nests_the_race_report(self):
         report = run_chaos(
@@ -205,7 +203,7 @@ class TestRecalSoak:
             requests=96,
             recalibrate=True,
         )
-        assert report.recal is not None
+        assert "recal" in report.counts
         assert report.ok
         payload = report.to_dict()
         assert payload["recal"]["ok"] is True
@@ -213,36 +211,62 @@ class TestRecalSoak:
         assert payload["serve"] == payload["recal"]["recalibrating"]
         assert "reclaimed" in report.describe()
 
+    def test_race_that_never_probes_fails_on_its_named_invariant(self):
+        """A probe interval past the horizon commits no recal epoch: the
+        serve soak still passes, the race fails, and so does the run."""
+        report = run_chaos(
+            build_margined_table(),
+            FaultSchedule([]),
+            requests=24,
+            recalibrate=True,
+            recal_interval_ns=1e9,
+        )
+        assert all(report.invariants["serve"].values())
+        assert report.invariants["recal"] == {
+            "retreat_only_ok": True,
+            "recalibrating_ok": True,
+            "recal_epochs": False,
+        }
+        assert not report.ok
+        payload = report.to_dict()
+        assert payload["ok"] is False
+        assert payload["serve"]["ok"] is True
+        assert payload["recal"]["ok"] is False
+        lines = report.describe().splitlines()
+        assert lines[1].startswith("serve chaos [PASS]")
+        assert lines[2].startswith("recal chaos [FAIL]")
+        assert lines[-1] == "chaos run: FAIL"
+
 
 class TestExplorationSoak:
-    def test_crashes_and_corruption_recover_bit_identically(
-        self, soak_design, tmp_path
-    ):
+    def test_crashes_and_corruption_recover_bit_identically(self, soak_design):
         schedule = FaultSchedule.generate(
             7, horizon_ns=1e5, num_shards=len(SWEEP_SETTINGS.bitwidths)
         )
         assert schedule.of_kind(KIND_WORKER_CRASH)
         assert schedule.of_kind(KIND_CACHE_CORRUPT)
-        report = run_exploration_chaos(
-            soak_design, SWEEP_SETTINGS, schedule, tmp_path
+        report = run_chaos(
+            build_margined_table(),
+            schedule,
+            design=soak_design,
+            settings=SWEEP_SETTINGS,
         )
-        assert report.error is None
-        assert report.ok
-        assert report.bit_identical
-        assert report.shards == len(SWEEP_SETTINGS.bitwidths)
-        assert report.worker_crashes >= 1
-        assert report.pool_respawns >= 1
-        assert report.faults_fired
-        assert report.cache_entries_corrupted >= 1
-        assert report.recovered_after_corruption
-        assert report.cache_invalidations >= 1
-        assert "[PASS]" in report.describe()
+        exploration = report.counts["exploration"]
+        assert exploration["error"] is None
+        assert all(report.invariants["exploration"].values())
+        assert exploration["bit_identical"]
+        assert exploration["shards"] == len(SWEEP_SETTINGS.bitwidths)
+        assert exploration["worker_crashes"] >= 1
+        assert exploration["pool_respawns"] >= 1
+        assert exploration["faults_fired"]
+        assert exploration["cache_entries_corrupted"] >= 1
+        assert exploration["recovered_after_corruption"]
+        assert exploration["cache_invalidations"] >= 1
+        assert "exploration chaos [PASS]" in report.describe()
 
 
 class TestFullChaosRun:
-    def test_end_to_end_run_passes_and_serializes(
-        self, soak_design, tmp_path
-    ):
+    def test_end_to_end_run_passes_and_serializes(self, soak_design):
         schedule = FaultSchedule.generate(
             7,
             horizon_ns=1e5,
@@ -254,7 +278,6 @@ class TestFullChaosRun:
             schedule,
             design=soak_design,
             settings=SWEEP_SETTINGS,
-            workdir=tmp_path,
         )
         assert report.ok
         payload = report.to_dict()
@@ -266,8 +289,8 @@ class TestFullChaosRun:
         assert again.to_dict() == payload["schedule"]
         assert "chaos run: PASS" in report.describe()
 
-    def test_exploration_half_requires_settings_and_workdir(self):
-        with pytest.raises(ValueError, match="workdir"):
+    def test_exploration_half_requires_settings(self):
+        with pytest.raises(ValueError, match="settings"):
             run_chaos(
                 build_margined_table(),
                 FaultSchedule([]),
@@ -278,5 +301,6 @@ class TestFullChaosRun:
         report = run_chaos(
             build_margined_table(), FaultSchedule([]), requests=12
         )
-        assert report.exploration is None
+        assert "exploration" not in report.counts
+        assert report.to_dict()["exploration"] is None
         assert report.ok

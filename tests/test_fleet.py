@@ -9,9 +9,8 @@ from repro.faults import (
     KIND_WORKER_CRASH,
     FaultEvent,
     FaultSchedule,
-    run_fleet_chaos,
 )
-from repro.faults.chaos import chaos_requests
+from repro.faults.chaos import recovery_schedule, run_chaos
 from repro.fleet import (
     ALERT_KINDS,
     FLEET_WORKERS_ENV,
@@ -33,7 +32,7 @@ from repro.fleet.worker import (
     encode_replies,
     parse_control,
 )
-from repro.serve.scheduler import ModeScheduler, ServeRequest
+from repro.serve.scheduler import ModeScheduler, ServeRequest, chaos_requests
 from repro.serve.table import ModeTable
 from tests.conftest import build_margined_table, build_synthetic_table
 
@@ -273,21 +272,27 @@ def droop_schedule() -> FaultSchedule:
     )
 
 
+def fleet_soak(table, schedule, **kwargs):
+    """The fleet half of a chaos run: its counts, after its invariants
+    held."""
+    report = run_chaos(table, schedule, **kwargs)
+    assert all(report.invariants["fleet"].values()), report.describe()
+    return report.counts["fleet"]
+
+
 class TestFleetChaos:
     def test_margin_event_degrades_every_peer_within_bound(self):
-        report = run_fleet_chaos(
+        fleet = fleet_soak(
             build_margined_table(),
             droop_schedule(),
-            workers=2,
-            num_operators=8,
-            requests=512,
+            fleet_workers=2,
+            fleet_requests=512,
             seed=7,
         )
-        assert report.ok, report.describe()
-        assert report.fleet_alerts >= 1
-        assert report.fleet_retreats >= 1
-        assert report.peers_retreated
-        assert 0 <= report.worst_propagation <= report.propagation_bound
+        assert fleet["fleet_alerts"] >= 1
+        assert fleet["fleet_retreats"] >= 1
+        assert fleet["peers_retreated"]
+        assert 0 <= fleet["worst_propagation"] <= fleet["propagation_bound"]
 
     def test_crash_plus_droop_soak_survives_with_failover(self):
         schedule = FaultSchedule(
@@ -296,50 +301,43 @@ class TestFleetChaos:
                 FaultEvent(KIND_WORKER_CRASH, 4e8, 1.0, target=1),
             ]
         )
-        report = run_fleet_chaos(
+        fleet = fleet_soak(
             build_margined_table(),
             schedule,
-            workers=3,
-            num_operators=8,
-            requests=512,
+            fleet_workers=3,
+            fleet_requests=512,
             seed=13,
         )
-        assert report.ok, report.describe()
-        assert report.workers_killed == 1
-        assert report.failovers == 1
-        assert report.unanswered_requests == 0
+        assert fleet["workers_killed"] == 1
+        assert fleet["failovers"] == 1
+        assert fleet["unanswered_requests"] == 0
 
     def test_recal_epochs_converge_within_propagation_bound(self):
         """Worker 0 probes and posts committed margin states; every
         guarded peer must adopt each epoch within the same bounded
         window the degradation signal already guarantees."""
-        from repro.faults import recovery_schedule
-
         horizon = 3e5
-        report = run_fleet_chaos(
+        fleet = fleet_soak(
             build_margined_table(),
             recovery_schedule(horizon, 60.0, relapse=True, seed=1),
-            workers=2,
-            num_operators=8,
-            requests=2048,
+            fleet_workers=2,
+            fleet_requests=2048,
             seed=7,
+            recalibrate=True,
             recal_interval_ns=horizon / 32,
         )
-        assert report.ok, report.describe()
-        assert report.recal_enabled
-        assert report.bus_recal_epoch > 0
-        assert report.fleet_margin_syncs >= 1
-        assert report.recal_converged
-        assert 0 <= report.worst_recal_lag <= report.propagation_bound
-        payload = report.to_dict()
-        assert payload["recal_converged"] is True
+        assert fleet["recal_enabled"]
+        assert fleet["bus_recal_epoch"] > 0
+        assert fleet["fleet_margin_syncs"] >= 1
+        assert fleet["recal_converged"]
+        assert 0 <= fleet["worst_recal_lag"] <= fleet["propagation_bound"]
 
     def test_rejects_unmargined_tables_and_lone_workers(self):
         with pytest.raises(ValueError, match="margined"):
-            run_fleet_chaos(
-                build_synthetic_table(), droop_schedule(), workers=2
+            run_chaos(
+                build_synthetic_table(), droop_schedule(), fleet_workers=2
             )
         with pytest.raises(ValueError, match="two workers"):
-            run_fleet_chaos(
-                build_margined_table(), droop_schedule(), workers=1
+            run_chaos(
+                build_margined_table(), droop_schedule(), fleet_workers=1
             )

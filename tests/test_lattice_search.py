@@ -237,7 +237,7 @@ def test_scratch_holds_one_buffer_per_role(booth8_domained):
         lanes = factors.shape[0]
         lane_counts.add(lanes)
         levels = engine._padded_levels(
-            schedule_for(engine.graph, kwargs.get("case")), backward=False
+            schedule_for(engine.graph, kwargs.get("case"))
         )
         slots = max((lvl.segments * lvl.fanin for lvl in levels), default=0)
         needed["cell_factors"] = max(

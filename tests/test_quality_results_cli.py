@@ -277,3 +277,141 @@ class TestReplayMisuse:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert names.format(**paths) in errors[0]
+
+
+#: A chaos run small enough to reach every check.
+CHAOS = ["chaos", "--design", "adder", "--width", "4", "--grid", "2x1"]
+
+
+class TestNumericMisuse:
+    """Out-of-range counts and magnitudes exit 2 with one `error:` line
+    naming the flag and no traceback, before any design is implemented."""
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (
+                ["explore", "--design", "adder", "--width", "0"],
+                "argument --width: must be at least 1",
+            ),
+            (CHAOS + ["--fleet", "1"], "--fleet needs at least 2 workers"),
+            (
+                CHAOS + ["--fleet", "-2"],
+                "argument --fleet: must be at least 0",
+            ),
+            (
+                CHAOS + ["--fleet", "2", "--fleet-requests", "0"],
+                "argument --fleet-requests: must be at least 1",
+            ),
+            (
+                CHAOS + ["--intensity", "-1"],
+                "argument --intensity: must be at least 0.0",
+            ),
+            (
+                CHAOS + ["--horizon-ns", "0"],
+                "argument --horizon-ns: must be greater than 0.0",
+            ),
+            (
+                CHAOS + ["--margin-samples", "0"],
+                "argument --margin-samples: must be at least 2",
+            ),
+            (
+                CHAOS + ["--margin-samples", "1"],
+                "argument --margin-samples: must be at least 2",
+            ),
+            (
+                CHAOS + ["--activity-cycles", "0"],
+                "argument --activity-cycles: must be at least 6",
+            ),
+            (
+                CHAOS + ["--recalibrate", "--recal-interval", "-5"],
+                "argument --recal-interval: must be greater than 0.0",
+            ),
+            (
+                ["serve", "--table", "t.json", "--clients", "0"],
+                "argument --clients: must be at least 1",
+            ),
+            (
+                ["serve", "--table", "t.json", "--generators", "0"],
+                "argument --generators: must be at least 1",
+            ),
+            (
+                ["serve", "--table", "t.json", "--queue-depth", "0"],
+                "argument --queue-depth: must be at least 1",
+            ),
+            (
+                ["serve", "--table", "t.json", "--max-pending", "0"],
+                "argument --max-pending: must be at least 1",
+            ),
+            (
+                ["serve", "--table", "t.json", "--soak", "-5"],
+                "argument --soak: must be at least 0",
+            ),
+            *(
+                (
+                    ["fleet-serve", "--table", "t.json", flag, "0"],
+                    f"argument {flag}: must be at least 1",
+                )
+                for flag in (
+                    "--generators", "--queue-depth", "--batch-window",
+                    "--max-inflight", "--retreat-budget", "--soak",
+                    "--operators", "--chunk",
+                )
+            ),
+            (
+                ["gen-traces", "--output-dir", "out", "--length", "0"],
+                "argument --length: must be at least 1",
+            ),
+            (
+                ["gen-traces", "--output-dir", "out", "--mean-cycles", "0"],
+                "argument --mean-cycles: must be at least 1",
+            ),
+            (
+                ["gen-traces", "--output-dir", "out", "--levels", "2,x"],
+                "argument --levels: invalid int value: 'x'",
+            ),
+            (
+                ["gen-traces", "--output-dir", "out", "--levels", "0,2"],
+                "argument --levels: must be at least 1",
+            ),
+            *(
+                (
+                    [
+                        "train-policy", "--table", "t.json",
+                        "--output", "o.json", flag, "0",
+                    ],
+                    f"argument {flag}: must be at least 1",
+                )
+                for flag in (
+                    "--rounds", "--length", "--mean-cycles", "--suites",
+                )
+            ),
+            (
+                [
+                    "compile-table", "--output", "t.json", "--margins",
+                    "--margin-samples", "0",
+                ],
+                "argument --margin-samples: must be at least 2",
+            ),
+        ],
+    )
+    def test_exits_2_with_one_error_line(
+        self, capsys, monkeypatch, tmp_path, argv, names
+    ):
+        import repro.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the design was implemented")
+
+        monkeypatch.setattr(repro.cli, "select_clock_for", never)
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert names in errors[0]

@@ -146,7 +146,7 @@ def test_every_combo_row_matches_scalar_engine(case):
     library = Library()
     engine = LatticeStaEngine(graph, library, domains, num_domains)
     batched = engine.analyze_factors(
-        CONSTRAINT, factors, compute_required=True, keep_arrays=True
+        CONSTRAINT, factors, keep_arrays=True
     )
     scalar = StaEngine(graph, library)
     none_fbb = np.zeros(graph.num_cells, dtype=bool)
@@ -157,7 +157,6 @@ def test_every_combo_row_matches_scalar_engine(case):
         assert batched.worst_slack_ps[k] == report.worst_slack_ps
         assert batched.critical_endpoint_net[k] == report.critical_endpoint_net
         assert np.array_equal(batched.arrival_ps[k], report.arrival_ps)
-        assert np.array_equal(batched.required_ps[k], report.required_ps)
 
 
 @given(case=random_lattice_case(), scale=st.floats(1.0, 2.0))
@@ -207,17 +206,16 @@ def test_combo_axis_permutation_equivariant(case, seed):
     engine = LatticeStaEngine(graph, Library(), domains, num_domains)
     perm = np.random.RandomState(seed).permutation(factors.shape[0])
     straight = engine.analyze_factors(
-        CONSTRAINT, factors, compute_required=True, keep_arrays=True
+        CONSTRAINT, factors, keep_arrays=True
     )
     permuted = engine.analyze_factors(
-        CONSTRAINT, factors[perm], compute_required=True, keep_arrays=True
+        CONSTRAINT, factors[perm], keep_arrays=True
     )
     assert np.array_equal(permuted.worst_slack_ps,
                           straight.worst_slack_ps[perm])
     assert np.array_equal(permuted.critical_endpoint_net,
                           straight.critical_endpoint_net[perm])
     assert np.array_equal(permuted.arrival_ps, straight.arrival_ps[perm])
-    assert np.array_equal(permuted.required_ps, straight.required_ps[perm])
 
 
 @given(case=random_lattice_case(), vdd=st.sampled_from((1.0, 0.8, 0.6)))
@@ -231,7 +229,7 @@ def test_nmax_zero_degenerates_to_scalar_sweep(case, vdd):
     )
     result = engine.analyze(
         CONSTRAINT, vdd, configs=np.zeros((1, 0), dtype=bool),
-        compute_required=True, keep_arrays=True,
+        keep_arrays=True,
     )
     report = StaEngine(graph, library).analyze(
         CONSTRAINT, vdd, np.zeros(graph.num_cells, dtype=bool)
@@ -240,7 +238,6 @@ def test_nmax_zero_degenerates_to_scalar_sweep(case, vdd):
     assert result.worst_slack_ps[0] == report.worst_slack_ps
     assert result.critical_endpoint_net[0] == report.critical_endpoint_net
     assert np.array_equal(result.arrival_ps[0], report.arrival_ps)
-    assert np.array_equal(result.required_ps[0], report.required_ps)
 
 
 @given(case=random_lattice_case())
